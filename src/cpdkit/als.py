@@ -35,6 +35,12 @@ class SolverOptions:
     seed: object = None
     init: KTensor | None = None
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+
 
 @dataclass
 class SolveReport:
@@ -62,6 +68,8 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
         raise ValueError("cp_als needs an order >= 2 tensor")
     if J < 1:
         raise ValueError("rank must be positive")
+    if not np.isfinite(T).all():
+        raise ValueError("cp_als input has NaN or Inf entries")
     opts = opts if opts is not None else SolverOptions()
     N = T.ndim
     norm_y = float(np.linalg.norm(T.ravel()))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .linalg import khatri_rao
-from .tensor import tensorize
+from .tensor import _read_exact, tensorize
 from .uniqueness import collinearity
 
 KTNS_MAGIC = b"KTNS"
@@ -236,20 +236,22 @@ def read_ktns(path) -> KTensor:
         magic = f.read(4)
         if magic != KTNS_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {KTNS_MAGIC!r}")
-        (version,) = struct.unpack("<B", f.read(1))
+        version, order, J = struct.unpack("<BII",
+                                          _read_exact(path, f, 9, "header"))
         if version != KTNS_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        order, J = struct.unpack("<II", f.read(8))
         if order < 1 or J < 1:
             raise ValueError(f"{path}: bad header (order={order}, rank={J})")
-        shape = struct.unpack(f"<{order}Q", f.read(8 * order))
-        weights = np.frombuffer(f.read(8 * J), dtype="<f8").astype(np.float64)
-        factors = []
-        for size in shape:
-            block = np.frombuffer(f.read(8 * size * J), dtype="<f8")
-            if block.size != size * J:
-                raise ValueError(f"{path}: truncated factor block")
-            factors.append(block.reshape((size, J), order="F").astype(np.float64))
+        shape = struct.unpack(f"<{order}Q", _read_exact(path, f, 8 * order,
+                                                         f"{order} mode sizes"))
+        count = J * (1 + sum(shape))
+        raw = _read_exact(path, f, 8 * count, f"{count} weights and factor "
+                          "entries")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after payload")
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    weights, factors, at = values[:J], [], J
+    for size in shape:
+        factors.append(values[at:at + size * J].reshape((size, J), order="F"))
+        at += size * J
     return KTensor(factors, weights)

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Entries of M per streamed QR block (2 MB of float64).
+TSQR_BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -76,6 +79,71 @@ def truncated_svd(M, r: int) -> SvdResult:
         raise ValueError(f"rank {r} out of range for shape {M.shape}")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     return SvdResult(U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy())
+
+
+def _tsqr_r(M) -> np.ndarray:
+    """R factor of a QR of ``M.T``, accumulated over column blocks of ``M``.
+
+    Each step factors the previous R stacked on one block, so the working
+    set stays at a block plus R and ``M`` is never copied whole (sequential
+    TSQR, Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1),
+    2012).  ``R.T @ R == M @ M.T`` up to rounding.
+    """
+    m, n = M.shape
+    block = max(2 * m, TSQR_BLOCK_ENTRIES // m)
+    R = np.zeros((0, m))
+    for start in range(0, n, block):
+        R = np.linalg.qr(np.vstack([R, M[:, start:start + block].T]),
+                         mode="r")
+    return R
+
+
+def left_singular_pairs(M, rtol: float, r: int | None = None):
+    """Leading left singular pairs ``(U, s)`` of a wide matrix (``m <= n``).
+
+    Returns ``U`` (``m x r``, orthonormal columns) and the ``r`` largest
+    singular values ``s`` in descending order; ``r=None`` keeps all ``m``.
+    Callers decide with ``s[i] > rtol * s[0]``, and that verdict is exact
+    for every returned value.  For a tall matrix pass its transpose, whose
+    left pairs are the matrix's right pairs.
+
+    The fast route takes ``eigh`` of the ``m x m`` Gram ``M @ M.T``.  Forming
+    and diagonalizing it moves each eigenvalue by at most
+    ``delta = 2 (n + m) eps ||M||_F^2``, so the Gram route is kept only when
+    every returned eigenvalue is farther than ``delta`` from the squared
+    cutoff.  Otherwise (near-deficient rank, or a Gram that overflows) the
+    pairs come from the SVD of the small R factor of a streamed QR of
+    ``M.T`` (Chan's R-SVD, ACM TOMS 8(1), 1982), which is as accurate as a
+    full SVD of ``M``.  Non-finite entries are rejected.
+
+    On the fast route ``U`` captures all but at most ``2 r delta`` of the
+    largest possible ``||U.T @ M||_F^2``, and ``(U / s).T @ M`` has
+    orthonormal rows to within about ``delta / s[-1]**2``.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValueError("left_singular_pairs expects a matrix")
+    m, n = M.shape
+    if m > n:
+        raise ValueError(f"expected a wide matrix, got shape {M.shape}")
+    r = m if r is None else r
+    if not 1 <= r <= m:
+        raise ValueError(f"rank {r} out of range for shape {M.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = M @ M.T
+        frob2 = float(np.trace(G))
+    if np.isfinite(frob2):
+        lam, V = np.linalg.eigh(G)
+        lam, V = lam[::-1][:r], V[:, ::-1][:, :r]
+        delta = 2.0 * (n + m) * np.finfo(np.float64).eps * frob2
+        cut_hi = rtol ** 2 * (lam[0] + delta)
+        cut_lo = rtol ** 2 * (lam[0] - delta)
+        if np.all((lam - delta > cut_hi) | (lam + delta <= cut_lo)):
+            return V, np.sqrt(np.maximum(lam, 0.0))
+    elif not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
+    _, s, Vt = np.linalg.svd(_tsqr_r(M), full_matrices=False)
+    return Vt[:r].T.copy(), s[:r].copy()
 
 
 def _orient(u, v):

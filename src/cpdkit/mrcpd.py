@@ -24,7 +24,8 @@ import numpy as np
 from .als import SolverOptions, get_solver
 from .krproj import ProjectionKind, kr_project
 from .ktensor import KTensor, normalize, reconstruct
-from .linalg import hadamard, khatri_rao, ls_solve, truncated_svd, pinv_cutoff
+from .linalg import (hadamard, khatri_rao, left_singular_pairs, ls_solve,
+                     pinv_cutoff)
 from .tensor import ModeSplit, matricize, reduce_modes, tensorize
 from .uniqueness import krank_product_bound, mode_rank
 
@@ -193,13 +194,17 @@ def compress_mode(T3, mode: int, width: int, method: str = "svd",
         if width > M.shape[1]:
             raise ValueError(f"cannot keep {width} singular directions of a "
                              f"{M.shape} matricization")
-        res = truncated_svd(M, width)
-        if res.s[-1] <= pinv_cutoff(M) * res.s[0]:
+        cutoff = pinv_cutoff(M)
+        wide = M.shape[0] <= M.shape[1]
+        # Factor the short side; for a tall M that gives its right pairs.
+        W, s = left_singular_pairs(M if wide else M.T, cutoff, width)
+        if s[-1] <= cutoff * s[0]:
             raise ValueError(f"mode {mode} has numerical rank below {width}; "
                              "svd compression would divide by a negligible "
                              "singular value")
-        newM = (res.U / res.s).T @ M
-        info = RestoreInfo(kind="svd", mode=mode, U=res.U, s=res.s)
+        U = W if wide else (M @ W) / s
+        newM = (U / s).T @ M
+        info = RestoreInfo(kind="svd", mode=mode, U=U, s=s)
     elif method == "fibers":
         if width > size:
             raise ValueError(f"cannot sample {width} of {size} rows")
@@ -254,9 +259,9 @@ def verify_error_bound(T, est: KTensor, fit3: float, eps_k: float) -> BoundRepor
         if np.any(np.abs(norms[norms > 0] - 1.0) > 1e-6):
             raise ValueError(f"estimate factor {n} is not column-normalized")
     final_err = float(np.linalg.norm((T - reconstruct(est)).ravel()))
-    bound = float(fit3) + np.sqrt(est.rank) * float(eps_k)
+    bound = float(fit3 + np.sqrt(est.rank) * eps_k)
     norm_t = float(np.linalg.norm(T.ravel()))
-    holds = final_err <= bound + BOUND_SLACK_REL * norm_t
+    holds = bool(final_err <= bound + BOUND_SLACK_REL * norm_t)
     return BoundReport(eps_k=float(eps_k), fit3=float(fit3),
                        final_err=final_err, bound=bound, holds=holds)
 
@@ -310,6 +315,8 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
                          "use cp_als directly")
     if J < 1:
         raise ValueError("rank must be positive")
+    if not np.isfinite(T).all():
+        raise ValueError("mrcpd_decompose input has NaN or Inf entries")
     opts = opts if opts is not None else MrcpdOptions()
     solver = get_solver(opts.solver)
 

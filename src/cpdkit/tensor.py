@@ -12,6 +12,7 @@ No function here mutates its inputs.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from math import prod
@@ -186,6 +187,16 @@ def mode_contract(T, vectors, skip: int) -> np.ndarray:
     return out
 
 
+def _read_exact(path, f, nbytes: int, what: str) -> bytes:
+    """Read ``nbytes`` from ``f`` after checking the file still holds them,
+    so a forged size in a header is never handed to ``read``."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
+        raise ValueError(f"{path}: truncated payload, expected {what} "
+                         f"({nbytes} bytes), {left} bytes left")
+    return f.read(nbytes)
+
+
 def write_tnsr(path, T) -> None:
     """Write a tensor to the ``.tnsr`` binary format.
 
@@ -207,17 +218,16 @@ def read_tnsr(path) -> np.ndarray:
         magic = f.read(4)
         if magic != TNSR_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {TNSR_MAGIC!r}")
-        (version,) = struct.unpack("<B", f.read(1))
+        version, order = struct.unpack("<BI", _read_exact(path, f, 5, "header"))
         if version != TNSR_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        (order,) = struct.unpack("<I", f.read(4))
         if order < 1:
             raise ValueError(f"{path}: order must be positive, got {order}")
-        shape = struct.unpack(f"<{order}Q", f.read(8 * order))
-        data = np.frombuffer(f.read(8 * prod(shape)), dtype="<f8")
-        if data.size != prod(shape):
-            raise ValueError(f"{path}: truncated payload, expected {prod(shape)} "
-                             f"values, got {data.size}")
+        shape = struct.unpack(f"<{order}Q", _read_exact(path, f, 8 * order,
+                                                         f"{order} mode sizes"))
+        count = prod(shape)
+        data = np.frombuffer(_read_exact(path, f, 8 * count,
+                                         f"{count} values"), dtype="<f8")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after payload")
     return tensor_from_vec(data.astype(np.float64), shape)

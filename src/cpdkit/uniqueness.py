@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .linalg import left_singular_pairs
 from .tensor import ModeSplit, matricize
 
 KRUSKAL_RANK_MAX_COLS = 12
@@ -136,8 +137,14 @@ def mode_rank(T, n: int, tol: float = 1e-8) -> int:
     """Numerical rank of the mode-``n`` matricization.
 
     Singular values below ``tol`` times the largest are treated as zero.
+    The count agrees with a full SVD's; well-conditioned modes get it from
+    the Gram matrix (see :func:`~cpdkit.linalg.left_singular_pairs`).
     """
-    s = np.linalg.svd(matricize(T, n), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
+    M = matricize(T, n)
+    if M.size == 0:
+        return 0
+    # Only the singular values matter, so factor the wide orientation.
+    _, s = left_singular_pairs(M if M.shape[0] <= M.shape[1] else M.T, tol)
+    if s[0] == 0:
         return 0
     return int(np.sum(s > tol * s[0]))

@@ -123,3 +123,19 @@ def test_write_csv_round_trip(tmp_path):
     assert rows[1][CSV_COLUMNS.index("converged")] == "True"
     # absent optional fields serialize as empty cells
     assert rows[2][CSV_COLUMNS.index("eps_k")] == ""
+
+
+def test_written_csv_cells_parse_as_plain_numbers(tmp_path):
+    path = tmp_path / "bench.csv"
+    run_benchmark(tiny_config(runs=1), out_csv=path)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["method"] for r in rows] == ["als", "mrcpd"]
+    numeric = ("fit_noiseless", "fit_observed", "msir_mean", "runtime_s",
+               "eps_k", "bound_slack")
+    for row in rows:
+        assert row["converged"] in ("True", "False")
+        for col in numeric:
+            if row[col] != "":
+                float(row[col])
+    assert rows[1]["bound_slack"] != ""

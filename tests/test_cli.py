@@ -145,6 +145,29 @@ def test_missing_input_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["als", "mrcpd"])
+def test_decompose_rejects_non_finite_input(tmp_path, capsys, method):
+    T = reconstruct(gen_random_ktensor((4, 3, 4, 3), 2, seed=207))
+    T[2, 1, 0, 2] = np.nan
+    inp = tmp_path / "nan.tnsr"
+    write_tnsr(inp, T)
+    code = main(["decompose", "--input", str(inp), "--rank", "2",
+                 "--method", method, "--output", str(tmp_path / "e.ktns")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NaN or Inf" in err
+    assert err.count("\n") == 1
+
+
+def test_analyze_rejects_non_finite_input(tmp_path, capsys):
+    T = np.ones((3, 4, 2, 2))
+    T[1, 1, 1, 1] = np.inf
+    inp = tmp_path / "inf.tnsr"
+    write_tnsr(inp, T)
+    assert main(["analyze", "--input", str(inp)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_krproj_command(tmp_path, capsys):
     rng = np.random.default_rng(206)
     H = khatri_rao([rng.standard_normal((4, 3)), rng.standard_normal((5, 3))])

@@ -1,10 +1,13 @@
 """KTensor container, reconstruction (checked against a triple loop),
 matching metrics, and the factor file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from cpdkit.ktensor import (
+    KTNS_MAGIC,
     KTensor,
     absorb_weights,
     fit,
@@ -212,3 +215,27 @@ def test_ktns_rejects_corruption(tmp_path):
     padded.write_bytes(raw + b"\xff")
     with pytest.raises(ValueError, match="trailing"):
         read_ktns(padded)
+
+
+@pytest.mark.parametrize("order, rank, shape", [
+    (2, 2 ** 32 - 1, (2 ** 31, 2 ** 31)),
+    (2, 1000, (1 << 20, 1 << 20)),
+    (2, 2, (3, 4)),
+])
+def test_ktns_rejects_forged_sizes(tmp_path, order, rank, shape):
+    p = tmp_path / "forged.ktns"
+    p.write_bytes(KTNS_MAGIC + struct.pack("<BII", 1, order, rank)
+                  + struct.pack(f"<{order}Q", *shape)
+                  + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(ValueError, match="truncated"):
+        read_ktns(p)
+
+
+def test_ktns_rejects_short_header(tmp_path):
+    p = tmp_path / "stub.ktns"
+    p.write_bytes(KTNS_MAGIC + b"\x01\x02")
+    with pytest.raises(ValueError, match="truncated"):
+        read_ktns(p)
+    p.write_bytes(KTNS_MAGIC + struct.pack("<BII", 1, 2 ** 32 - 1, 3))
+    with pytest.raises(ValueError, match="mode sizes"):
+        read_ktns(p)

@@ -4,10 +4,12 @@ full SVD."""
 import numpy as np
 import pytest
 
+from cpdkit import linalg
 from cpdkit.linalg import (
     hadamard,
     khatri_rao,
     leading_triplet,
+    left_singular_pairs,
     ls_solve,
     pinv_cutoff,
     truncated_svd,
@@ -91,6 +93,94 @@ def test_truncated_svd_validation():
         truncated_svd(np.zeros((3, 4)), 0)
     with pytest.raises(ValueError):
         truncated_svd(np.zeros((3, 4)), 4)
+
+
+def tsqr_calls(monkeypatch):
+    """Count calls of the exact (streamed QR) route."""
+    calls = []
+    real = linalg._tsqr_r
+
+    def spy(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "_tsqr_r", spy)
+    return calls
+
+
+def same_subspace(U, V, atol):
+    return np.allclose(U @ U.T, V @ V.T, atol=atol)
+
+
+def test_left_singular_pairs_fast_route_on_full_rank(monkeypatch):
+    calls = tsqr_calls(monkeypatch)
+    M = np.random.default_rng(15).standard_normal((6, 40))
+    U, s = left_singular_pairs(M, 1e-8)
+    U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
+    assert calls == []
+    assert np.allclose(s, s_full, rtol=1e-12)
+    assert np.allclose(U.T @ U, np.eye(6), atol=1e-12)
+    assert same_subspace(U[:, :3], U_full[:, :3], 1e-10)
+
+
+def test_left_singular_pairs_exact_route_on_rank_deficient(monkeypatch):
+    calls = tsqr_calls(monkeypatch)
+    rng = np.random.default_rng(16)
+    M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 50))
+    U, s = left_singular_pairs(M, 1e-8)
+    U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
+    assert calls == [(6, 50)]
+    assert np.sum(s > 1e-8 * s[0]) == np.sum(s_full > 1e-8 * s_full[0]) == 2
+    assert np.allclose(s, s_full, atol=1e-12 * s_full[0])
+    assert same_subspace(U[:, :2], U_full[:, :2], 1e-10)
+
+
+def test_left_singular_pairs_truncates():
+    M = np.random.default_rng(17).standard_normal((5, 30))
+    U, s = left_singular_pairs(M, 1e-8, r=3)
+    U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
+    assert U.shape == (5, 3)
+    assert np.allclose(s, s_full[:3], rtol=1e-12)
+    assert same_subspace(U, U_full[:, :3], 1e-10)
+
+
+def test_tsqr_r_streams_blocks(monkeypatch):
+    # blocks smaller than the matrix: the streamed R must still agree
+    monkeypatch.setattr(linalg, "TSQR_BLOCK_ENTRIES", 64)
+    rng = np.random.default_rng(18)
+    M = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 101))
+    R = linalg._tsqr_r(M)
+    assert R.shape == (4, 4)
+    assert np.allclose(R.T @ R, M @ M.T, atol=1e-12 * np.abs(M).max() ** 2)
+
+
+def test_left_singular_pairs_gram_overflow_takes_exact_route(monkeypatch):
+    calls = tsqr_calls(monkeypatch)
+    M = 1e200 * np.random.default_rng(19).standard_normal((3, 8))
+    _, s = left_singular_pairs(M, 1e-8)
+    assert calls == [(3, 8)]
+    assert np.allclose(s / 1e200,
+                       np.linalg.svd(M / 1e200, compute_uv=False), rtol=1e-12)
+
+
+def test_left_singular_pairs_validation():
+    with pytest.raises(ValueError, match="matrix"):
+        left_singular_pairs(np.zeros(4), 1e-8)
+    with pytest.raises(ValueError, match="wide"):
+        left_singular_pairs(np.ones((5, 4)), 1e-8)
+    with pytest.raises(ValueError, match="out of range"):
+        left_singular_pairs(np.ones((3, 4)), 1e-8, r=4)
+    with pytest.raises(ValueError, match="out of range"):
+        left_singular_pairs(np.ones((3, 4)), 1e-8, r=0)
+    bad = np.ones((3, 4))
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        left_singular_pairs(bad, 1e-8)
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        left_singular_pairs(bad, 1e-8)
+    _, s = left_singular_pairs(np.zeros((2, 3)), 1e-8)
+    assert np.array_equal(s, [0.0, 0.0])
 
 
 def test_leading_triplet_exact_rank1():

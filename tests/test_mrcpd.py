@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpdkit.als import SolverOptions
 from cpdkit.krproj import ProjectionKind
 from cpdkit.ktensor import KTensor, absorb_weights, fit, normalize, reconstruct
-from cpdkit.linalg import khatri_rao
+from cpdkit.linalg import khatri_rao, pinv_cutoff
 from cpdkit.mrcpd import (
     Compression,
     MrcpdOptions,
@@ -82,6 +84,23 @@ def test_compress_mode_svd_whitens():
     assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-9)
 
 
+def test_compress_mode_svd_tall_mode():
+    # the compressed mode is longer than its matricization is wide
+    T3 = reconstruct(gen_random_ktensor((40, 3, 4), 3, seed=93))
+    T3 = T3 + 1e-6 * np.random.default_rng(94).standard_normal(T3.shape)
+    M = matricize(T3, 0)
+    C, info = compress_mode(T3, 0, 3)
+    U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
+    assert np.allclose(info.s, s_full[:3], rtol=1e-10)
+    assert np.allclose(info.U @ info.U.T, U_full[:, :3] @ U_full[:, :3].T,
+                       atol=1e-10)
+    rows = matricize(C, 0)
+    assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-9)
+    with pytest.raises(ValueError, match="singular"):
+        compress_mode(reconstruct(gen_random_ktensor((40, 3, 4), 3,
+                                                     seed=95)), 0, 5)
+
+
 def test_compress_mode_noop_paths():
     T3 = np.random.default_rng(73).standard_normal((3, 4, 5))
     same, info = compress_mode(T3, 0, 3)
@@ -119,6 +138,47 @@ def test_compress_mode_validation():
                       0, 4)
     with pytest.raises(ValueError, match="sample"):
         compress_mode(T3, 1, 5, method="fibers")
+
+
+def full_svd_guard_raises(M, width):
+    """The compression rank guard evaluated on a full SVD."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return bool(s[width - 1] <= pinv_cutoff(M) * s[0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(3, 12), st.integers(2, 5),
+                       st.integers(2, 5)),
+       rank=st.integers(1, 5),
+       extra=st.integers(-2, 2),
+       seed=st.integers(0, 2 ** 30),
+       rel=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-5]))
+def test_compress_mode_svd_matches_full_svd(shape, rank, extra, seed, rel):
+    T3 = reconstruct(gen_random_ktensor(shape, rank, seed=seed))
+    if rel:
+        E = np.random.default_rng(seed + 1).standard_normal(shape)
+        T3 = T3 + rel * frobenius_norm(T3) / frobenius_norm(E) * E
+    M = matricize(T3, 0)
+    width = min(max(1, rank + extra), shape[0] - 1, M.shape[1])
+    if full_svd_guard_raises(M, width):
+        with pytest.raises(ValueError, match="singular"):
+            compress_mode(T3, 0, width)
+        return
+    C, info = compress_mode(T3, 0, width)
+    U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
+    # the Gram route moves squared singular values by at most
+    # 2 (m + n) eps ||M||_F^2, which squares the conditioning of whitening
+    delta = 2 * sum(M.shape) * np.finfo(float).eps * s_full @ s_full
+    assert np.all(np.abs(info.s ** 2 - s_full[:width] ** 2)
+                  <= delta + 1e-12 * s_full[0] ** 2)
+    cond = s_full[0] / s_full[width - 1]
+    rows = matricize(C, 0)
+    assert np.allclose(rows @ rows.T, np.eye(width), atol=1e-12 * cond ** 2)
+    if width == rank:
+        # a gap behind the kept directions pins the subspace down
+        P = info.U @ info.U.T
+        assert np.allclose(P, U_full[:, :width] @ U_full[:, :width].T,
+                           atol=1e-10)
 
 
 # --------------------------------------------------- merged-factor recovery
@@ -299,6 +359,14 @@ def test_decompose_validation():
     with pytest.raises(ValueError, match="groups"):
         mrcpd_decompose(T4, 2, MrcpdOptions(
             split=ModeSplit((0, 1, 2, 3), (0, 2, 4))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_rejects_non_finite(bad):
+    T = reconstruct(gen_random_ktensor((4, 4, 4, 4), 2, seed=92))
+    T[0, 1, 2, 3] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        mrcpd_decompose(T, 2)
 
 
 def test_reduced_variant_needs_wide_leading_group():

@@ -128,3 +128,21 @@ def test_solver_registry():
     T = reconstruct(gen_random_ktensor((4, 4, 4), 2, seed=41))
     got(T, 2, SolverOptions(max_iters=2, seed=0))
     assert calls == [2]
+
+
+def test_solver_options_validation():
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverOptions(max_iters=0)
+    with pytest.raises(ValueError, match="tol"):
+        SolverOptions(tol=-1e-9)
+    with pytest.raises(ValueError, match="tol"):
+        SolverOptions(tol=float("nan"))
+    assert SolverOptions(max_iters=1, tol=0.0).max_iters == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cp_als_rejects_non_finite(bad):
+    T = reconstruct(gen_random_ktensor((4, 3, 5), 2, seed=34))
+    T[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        cp_als(T, 2, SolverOptions(seed=0))

@@ -221,3 +221,26 @@ def test_tnsr_rejects_corruption(tmp_path):
     padded.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         read_tnsr(padded)
+
+
+@pytest.mark.parametrize("shape", [(2 ** 31, 2 ** 31), (1 << 20, 1 << 20),
+                                   (3, 3)])
+def test_tnsr_rejects_forged_sizes(tmp_path, shape):
+    # the header claims more entries than the file holds: rejected before
+    # any allocation, whatever the claim
+    p = tmp_path / "forged.tnsr"
+    p.write_bytes(TNSR_MAGIC + struct.pack("<BI", 1, len(shape))
+                  + struct.pack(f"<{len(shape)}Q", *shape)
+                  + struct.pack("<2d", 1.0, 2.0))
+    with pytest.raises(ValueError, match="truncated"):
+        read_tnsr(p)
+
+
+def test_tnsr_rejects_short_header(tmp_path):
+    p = tmp_path / "stub.tnsr"
+    p.write_bytes(TNSR_MAGIC + b"\x01")
+    with pytest.raises(ValueError, match="truncated"):
+        read_tnsr(p)
+    p.write_bytes(TNSR_MAGIC + struct.pack("<BI", 1, 2 ** 32 - 1))
+    with pytest.raises(ValueError, match="mode sizes"):
+        read_tnsr(p)

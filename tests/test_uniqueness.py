@@ -4,9 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpdkit.ktensor import reconstruct
 from cpdkit.linalg import khatri_rao
-from cpdkit.tensor import ModeSplit
+from cpdkit.synth import gen_random_ktensor
+from cpdkit.tensor import ModeSplit, matricize
 from cpdkit.uniqueness import (
     KRUSKAL_RANK_MAX_COLS,
     check_unfolded_uniqueness,
@@ -157,9 +161,50 @@ def test_unfolded_uniqueness_validation():
 
 
 def test_mode_rank():
-    from cpdkit.ktensor import reconstruct
-    from cpdkit.synth import gen_random_ktensor
     T = reconstruct(gen_random_ktensor((5, 6, 4, 3), 2, seed=64))
     for n in range(4):
         assert mode_rank(T, n) == 2
     assert mode_rank(np.zeros((3, 4)), 0) == 0
+
+
+def full_svd_rank(M, tol=1e-8):
+    s = np.linalg.svd(M, compute_uv=False)
+    return 0 if s[0] == 0 else int(np.sum(s > tol * s[0]))
+
+
+def perturbed_low_rank(shape, rank, seed, rel):
+    """Exact rank-``rank`` CP tensor plus Gaussian noise of relative
+    Frobenius size ``rel`` (none when ``rel`` is 0)."""
+    T = reconstruct(gen_random_ktensor(shape, rank, seed=seed))
+    if rel:
+        E = np.random.default_rng(seed + 1).standard_normal(shape)
+        T = T + rel * np.linalg.norm(T) / np.linalg.norm(E) * E
+    return T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(2, 14), st.integers(2, 5),
+                       st.integers(2, 5)),
+       rank=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 30),
+       rel=st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5]))
+def test_mode_rank_matches_full_svd(shape, rank, seed, rel):
+    # mode 0 ranges from tall (14 x 4) to wide (2 x 25) matricizations
+    T = perturbed_low_rank(shape, rank, seed, rel)
+    for n in range(3):
+        assert mode_rank(T, n) == full_svd_rank(matricize(T, n))
+
+
+def test_mode_rank_tall_and_wide():
+    T = perturbed_low_rank((30, 3, 4), 2, 65, 0.0)
+    assert matricize(T, 0).shape == (30, 12)       # tall
+    assert [mode_rank(T, n) for n in range(3)] == [2, 2, 2]
+    noisy = perturbed_low_rank((30, 3, 4), 2, 66, 1e-5)
+    assert [mode_rank(noisy, n) for n in range(3)] == [12, 3, 4]
+
+
+def test_mode_rank_rejects_non_finite():
+    T = np.ones((3, 4, 2))
+    T[0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        mode_rank(T, 1)
