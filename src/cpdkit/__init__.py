@@ -5,13 +5,13 @@ from .bench import (BenchConfig, RunRecord, gcr, run_benchmark, sim1_config,
                     sim2_config, summarize, write_csv)
 from .krproj import (ProjectionKind, apply_projection, kr_project,
                      rank1_parallel_extract, rank1_power_iteration)
-from .ktensor import (KTensor, MatchResult, absorb_weights, fit, match_factors,
-                      msir, normalize, read_ktns, reconstruct,
+from .ktensor import (KTensor, MatchResult, fit, match_factors, msir,
+                      normalize, read_ktns, reconstruct,
                       reconstruct_matricized, write_ktns)
-from .linalg import hadamard, khatri_rao, leading_triplet, ls_solve, truncated_svd
-from .mrcpd import (BoundReport, Compression, MrcpdOptions, RestoreInfo,
-                    compress_mode, mrcpd_decompose, plan_unfolding,
-                    recover_merged_factor, verify_error_bound)
+from .linalg import hadamard, khatri_rao, ls_solve
+from .mrcpd import (BoundReport, Compression, MrcpdOptions, compress_mode,
+                    mrcpd_decompose, plan_unfolding, recover_merged_factor,
+                    verify_error_bound)
 from .synth import add_noise, gen_bottleneck_ktensor, gen_random_ktensor
 from .tensor import (ModeSplit, frobenius_norm, matricize, mode_contract,
                      read_tnsr, reduce_modes, tensor_from_vec, tensorize,
@@ -24,18 +24,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "BoundReport", "Compression", "KTensor", "MatchResult",
-    "ModeSplit", "MrcpdOptions", "ProjectionKind", "RestoreInfo", "RunRecord",
-    "SolveReport", "SolverOptions", "UniquenessReport", "absorb_weights",
-    "add_noise", "apply_projection", "check_unfolded_uniqueness",
-    "collinearity", "compress_mode", "cp_als", "fit", "frobenius_norm", "gcr",
-    "gen_bottleneck_ktensor", "gen_random_ktensor", "get_solver", "hadamard",
-    "khatri_rao", "kr_project", "krank_product_bound", "kruskal_rank",
-    "ksb_check", "leading_triplet", "ls_solve", "match_factors", "matricize",
-    "mode_contract", "mode_rank", "mrcpd_decompose", "msir", "normalize",
-    "plan_unfolding", "rank1_parallel_extract", "rank1_power_iteration",
-    "read_ktns", "read_tnsr", "reconstruct", "reconstruct_matricized",
+    "ModeSplit", "MrcpdOptions", "ProjectionKind", "RunRecord", "SolveReport",
+    "SolverOptions", "UniquenessReport", "add_noise", "apply_projection",
+    "check_unfolded_uniqueness", "collinearity", "compress_mode", "cp_als",
+    "fit", "frobenius_norm", "gcr", "gen_bottleneck_ktensor",
+    "gen_random_ktensor", "get_solver", "hadamard", "khatri_rao",
+    "kr_project", "krank_product_bound", "kruskal_rank", "ksb_check",
+    "ls_solve", "match_factors", "matricize", "mode_contract", "mode_rank",
+    "mrcpd_decompose", "msir", "normalize", "plan_unfolding",
+    "rank1_parallel_extract", "rank1_power_iteration", "read_ktns",
+    "read_tnsr", "reconstruct", "reconstruct_matricized",
     "recover_merged_factor", "reduce_modes", "register_solver",
     "run_benchmark", "sim1_config", "sim2_config", "summarize",
-    "tensor_from_vec", "tensorize", "transpose_modes", "truncated_svd",
-    "verify_error_bound", "vectorize", "write_csv", "write_ktns", "write_tnsr",
+    "tensor_from_vec", "tensorize", "transpose_modes", "verify_error_bound",
+    "vectorize", "write_csv", "write_ktns", "write_tnsr",
 ]

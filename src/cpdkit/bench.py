@@ -44,6 +44,10 @@ class BenchConfig:
     tol: float = 1e-8
     gcr_threshold: float = 0.99
 
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+
 
 @dataclass
 class RunRecord:

@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--krproj", choices=("svd", "power"), default="svd")
     d.add_argument("--proj", default="none",
                    help="none | nonneg | soft:LAMBDA")
-    d.add_argument("--init", default=None, help="initial factors file")
+    d.add_argument("--init", default=None,
+                   help="initial factors file (als only)")
     d.add_argument("--output", required=True)
     d.set_defaults(func=_cmd_decompose)
 

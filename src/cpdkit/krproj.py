@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import khatri_rao, truncated_svd
+from .linalg import _column_signs, khatri_rao
 from .tensor import matricize, mode_contract, tensor_from_vec
 
 POWER_MAX_ITERS = 200
@@ -84,7 +84,7 @@ def rank1_parallel_extract(T):
         M = matricize(T, k)
         if not M.any():
             return [np.zeros(s) for s in T.shape], 0.0
-        units.append(truncated_svd(M, 1).U[:, 0])
+        units.append(np.linalg.svd(M, full_matrices=False)[0][:, 0].copy())
     return units, _rank1_assemble(T, units)
 
 
@@ -205,17 +205,14 @@ def kr_project(H, sizes, method: str = "svd",
             units, amp = rank1_parallel_extract(block)
         else:
             units, amp = rank1_power_iteration(block, proj, max_iters, tol)
-        # Orient unit vectors (sign pushed into the amplitude-bearing last
-        # factor so the column product is unchanged).
         for k in range(P - 1):
-            u = units[k]
-            peak = np.abs(u).max()
-            if peak > 0:
-                nz = np.flatnonzero(np.abs(u) > 1e-12 * peak)
-                if nz.size and u[nz[0]] < 0:
-                    units[k] = -u
-                    amp = -amp
             factors[k][:, j] = units[k]
         factors[P - 1][:, j] = amp * units[P - 1]
+    # Orient unit columns; each sign goes into the amplitude-bearing last
+    # factor, so the column product is unchanged.
+    for k in range(P - 1):
+        signs = _column_signs(factors[k])
+        factors[k] *= signs
+        factors[P - 1] *= signs
     eps = float(np.linalg.norm(H - khatri_rao(factors)))
     return factors, eps

@@ -108,14 +108,6 @@ def normalize(kt: KTensor, all_modes: bool = False) -> KTensor:
     return KTensor(factors, weights)
 
 
-def absorb_weights(kt: KTensor, n: int = -1) -> KTensor:
-    """Fold the weights into mode ``n``; resulting weights are all ones."""
-    n = range(kt.order)[n]
-    factors = [A.copy() for A in kt.factors]
-    factors[n] = factors[n] * kt.weights
-    return KTensor(factors, np.ones(kt.rank))
-
-
 def fit(ref, est) -> float:
     """Relative-error fit score ``1 - ||ref - est||_F / ||ref||_F``.
 

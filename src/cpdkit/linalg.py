@@ -9,26 +9,10 @@ rows.  This makes ``matricize(reconstruct(kt), n)`` equal
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 # Entries of M per streamed QR block (2 MB of float64).
 TSQR_BLOCK_ENTRIES = 1 << 18
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Rank-``r`` factorization ``M ~ U @ diag(s) @ V.T``.
-
-    ``U`` is ``m x r`` with orthonormal columns, ``s`` the leading singular
-    values (descending), ``V`` ``n x r`` with orthonormal columns.
-    """
-
-    U: np.ndarray
-    s: np.ndarray
-    V: np.ndarray
 
 
 def khatri_rao(matrices) -> np.ndarray:
@@ -64,21 +48,6 @@ def hadamard(matrices) -> np.ndarray:
     for M in mats[1:]:
         out *= M
     return out
-
-
-def truncated_svd(M, r: int) -> SvdResult:
-    """Leading ``r`` singular triplets of a matrix.
-
-    Computed by full factorization then truncation, so the result is
-    deterministic.  Requires ``1 <= r <= min(M.shape)``.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("truncated_svd expects a matrix")
-    if not 1 <= r <= min(M.shape):
-        raise ValueError(f"rank {r} out of range for shape {M.shape}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return SvdResult(U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy())
 
 
 def _tsqr_r(M) -> np.ndarray:
@@ -146,77 +115,38 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
     return Vt[:r].T.copy(), s[:r].copy()
 
 
-def _orient(u, v):
-    """Flip signs so the first entry of ``u`` that is not negligible is >= 0."""
-    nz = np.flatnonzero(np.abs(u) > 1e-12 * np.abs(u).max())
-    if nz.size and u[nz[0]] < 0:
-        return -u, -v
-    return u, v
-
-
-def leading_triplet(M, max_iters: int = 500, tol: float = 1e-12):
-    """Dominant singular triplet ``(u, sigma, v)`` by alternating power steps.
-
-    Each half-step solves the rank-1 least-squares problem for one side:
-    ``a <- M v / ||v||^2`` then ``v <- M.T a / ||a||^2``, so the residual
-    ``||M - a v.T||_F`` never increases.  Iteration stops when the singular
-    value estimate stabilizes to ``tol`` (relative) or after ``max_iters``
-    sweeps, in which case a warning is issued and the best iterate returned.
-
-    Sign convention: the first non-negligible entry of ``u`` is nonnegative.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("leading_triplet expects a matrix")
-    norms = np.linalg.norm(M, axis=1)
-    if not norms.any():
-        raise ValueError("leading_triplet on a zero matrix")
-    # Deterministic start: the row with the largest norm lies in the row
-    # space, which for rank-1 inputs is already the right singular direction.
-    v = M[int(np.argmax(norms))].copy()
-    if np.linalg.norm(v) == 0:  # pragma: no cover - excluded by the check above
-        raise ValueError("leading_triplet failed to initialize")
-    sigma_prev = 0.0
-    converged = False
-    for _ in range(max_iters):
-        a = M @ v / (v @ v)
-        na = a @ a
-        if na == 0:
-            raise ValueError("leading_triplet start vector lies in the null space")
-        v = M.T @ a / na
-        sigma = float(np.linalg.norm(a) * np.linalg.norm(v))
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-            converged = True
-            break
-        sigma_prev = sigma
-    if not converged:
-        warnings.warn("leading_triplet hit the iteration cap; returning the "
-                      "best iterate", RuntimeWarning)
-    u = a / np.linalg.norm(a)
-    v = v / np.linalg.norm(v)
-    sigma = float(u @ M @ v)
-    if sigma < 0:  # dominant pair came out with opposite orientation
-        v = -v
-        sigma = -sigma
-    u, v = _orient(u, v)
-    return u, sigma, v
-
-
 def ls_solve(A, B) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``A X = B``.
+    """Least-squares solution of ``A X = B`` for ``A`` of full column rank.
 
-    Singular values below ``max(A.shape) * eps * sigma_1`` are treated as
-    zero, matching the pseudo-inverse cutoff used throughout the package.
+    The numerical rank counts singular values above
+    ``max(A.shape) * eps * sigma_1``, the pseudo-inverse cutoff used
+    throughout the package; a rank below ``A.shape[1]`` raises
+    ``ValueError`` with a condition estimate.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} and {B.shape}")
-    rcond = max(A.shape) * np.finfo(np.float64).eps
-    X, *_ = np.linalg.lstsq(A, B, rcond=rcond)
+    X, _, rank, sv = np.linalg.lstsq(A, B, rcond=pinv_cutoff(A))
+    if rank < A.shape[1]:
+        smin = sv[-1] if A.shape[0] >= A.shape[1] else 0.0
+        cond = sv[0] / smin if smin > 0 else np.inf
+        raise ValueError(f"least-squares matrix is numerically rank deficient "
+                         f"(rank {rank} of {A.shape[1]} columns, condition ~ "
+                         f"{cond:.3e})")
     return X
 
 
 def pinv_cutoff(A) -> float:
     """The relative singular-value cutoff used by :func:`ls_solve`."""
     return max(np.asarray(A).shape) * np.finfo(np.float64).eps
+
+
+def _column_signs(U) -> np.ndarray:
+    """``+1`` or ``-1`` per column of ``U``, so that after scaling each
+    column's first entry above ``1e-12`` times its peak magnitude is
+    nonnegative (``+1`` for a zero column)."""
+    mag = np.abs(U)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    lead = U[first, np.arange(U.shape[1])]
+    return np.where(lead < 0, -1.0, 1.0)

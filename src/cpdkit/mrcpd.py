@@ -24,7 +24,7 @@ import numpy as np
 from .als import SolverOptions, get_solver
 from .krproj import ProjectionKind, kr_project
 from .ktensor import KTensor, normalize, reconstruct
-from .linalg import (hadamard, khatri_rao, left_singular_pairs, ls_solve,
+from .linalg import (_column_signs, khatri_rao, left_singular_pairs, ls_solve,
                      pinv_cutoff)
 from .tensor import ModeSplit, matricize, reduce_modes, tensorize
 from .uniqueness import krank_product_bound, mode_rank
@@ -56,38 +56,16 @@ class Compression:
             raise ValueError("fiber count must be positive")
 
 
-@dataclass(frozen=True)
-class RestoreInfo:
-    """What :func:`compress_mode` remembers to undo itself.
-
-    For ``svd`` the compressed matricization is ``inv(D) U^T M``, so the
-    merged factor estimated on the compressed tensor maps back as
-    ``U @ diag(s) @ G``.  For ``fibers`` the rows are a subset and the full
-    factor must be re-estimated by least squares against the original data.
-    """
-
-    kind: str
-    mode: int
-    U: np.ndarray | None = None
-    s: np.ndarray | None = None
-    rows: np.ndarray | None = None
-
-    def restore_factor(self, G):
-        G = np.asarray(G, dtype=np.float64)
-        if self.kind == "none":
-            return G.copy()
-        if self.kind == "svd":
-            return self.U @ (G * self.s[:, None])
-        raise ValueError("fiber-sampled factors carry no inverse map; "
-                         "re-estimate with recover_merged_factor")
-
-
 @dataclass
 class MrcpdOptions:
     """Knobs for :func:`mrcpd_decompose`.
 
     ``split=None`` plans the unfolding automatically from J-capped mode
-    ranks.  ``variant`` selects the standard pipeline ("full") or the
+    ranks (:func:`mode_rank` at its default tolerance).  ``compression``
+    shrinks one merged mode before the inner solve (see
+    :func:`compress_mode`).  ``solver_opts.init`` must be ``None``: the
+    inner solver sees the merged third-order tensor, which an order-N
+    starting point does not fit.  ``variant`` selects the standard pipeline ("full") or the
     one-factor-first variant ("reduced") that compresses both trailing
     merged modes, keeps only the leading factor from the third-order solve,
     and pulls the remaining Khatri-Rao block out in a single least-squares
@@ -103,7 +81,6 @@ class MrcpdOptions:
     compression: Compression | None = None
     variant: str = "full"
     restarts: int = 1
-    mode_rank_tol: float = 1e-8
 
     def __post_init__(self):
         if self.variant not in ("full", "reduced"):
@@ -177,9 +154,15 @@ def compress_mode(T3, mode: int, width: int, method: str = "svd",
     ``width`` left singular vectors and whitens (new matricization
     ``inv(D) U^T M``).  ``fibers`` keeps ``width`` rows, sampled uniformly
     without replacement (sorted; sampling every row is the identity).  A
-    ``width`` at or above the mode size is a no-op.
+    ``width`` at or above the mode size is a no-op.  Each ``svd`` basis
+    column is signed so that its first entry above ``1e-12`` of its peak
+    is nonnegative, which makes the result independent of the signs the
+    factorization picks.
 
-    Returns ``(compressed tensor, RestoreInfo)``.
+    Returns the compressed tensor.  Nothing is kept to undo the
+    compression: the pipeline re-estimates the compressed mode's factor by
+    least squares against the uncompressed data
+    (:func:`recover_merged_factor`).
     """
     T3 = np.asarray(T3, dtype=np.float64)
     if not 0 <= mode < T3.ndim:
@@ -190,7 +173,7 @@ def compress_mode(T3, mode: int, width: int, method: str = "svd",
     M = matricize(T3, mode)
     if method == "svd":
         if width >= size:
-            return T3, RestoreInfo(kind="none", mode=mode)
+            return T3
         if width > M.shape[1]:
             raise ValueError(f"cannot keep {width} singular directions of a "
                              f"{M.shape} matricization")
@@ -203,22 +186,21 @@ def compress_mode(T3, mode: int, width: int, method: str = "svd",
                              "svd compression would divide by a negligible "
                              "singular value")
         U = W if wide else (M @ W) / s
+        U = U * _column_signs(U)
         newM = (U / s).T @ M
-        info = RestoreInfo(kind="svd", mode=mode, U=U, s=s)
     elif method == "fibers":
         if width > size:
             raise ValueError(f"cannot sample {width} of {size} rows")
         if width == size:
-            return T3, RestoreInfo(kind="none", mode=mode)
+            return T3
         rng = np.random.default_rng(seed)
         rows = np.sort(rng.choice(size, size=width, replace=False))
         newM = M[rows]
-        info = RestoreInfo(kind="fibers", mode=mode, rows=rows)
     else:
         raise ValueError(f"unknown compression method {method!r}")
     shape = list(T3.shape)
     shape[mode] = width
-    return tensorize(newM, tuple(shape), mode), info
+    return tensorize(newM, tuple(shape), mode)
 
 
 def recover_merged_factor(T, split: ModeSplit, k: int, known_factors):
@@ -236,14 +218,6 @@ def recover_merged_factor(T, split: ModeSplit, k: int, known_factors):
     if len(known) != Y3.ndim - 1:
         raise ValueError(f"expected {Y3.ndim - 1} known factors, got {len(known)}")
     B = khatri_rao(known)
-    gram = hadamard([A.T @ A for A in known])
-    eig = np.linalg.eigvalsh(gram)
-    floor = (max(B.shape) * np.finfo(np.float64).eps) ** 2 * eig[-1]
-    if eig[-1] <= 0 or eig[0] <= floor:
-        cond = np.inf if eig[0] <= 0 else float(np.sqrt(eig[-1] / eig[0]))
-        raise ValueError("known factors' Khatri-Rao product is numerically "
-                         f"rank deficient (condition ~ {cond:.3e}); cannot "
-                         "recover the merged factor")
     return ls_solve(B, matricize(Y3, k).T).T
 
 
@@ -318,13 +292,15 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     if not np.isfinite(T).all():
         raise ValueError("mrcpd_decompose input has NaN or Inf entries")
     opts = opts if opts is not None else MrcpdOptions()
+    if opts.solver_opts.init is not None:
+        raise ValueError("mrcpd_decompose does not take solver_opts.init: the "
+                         "inner solver runs on the merged third-order tensor")
     solver = get_solver(opts.solver)
 
     start = perf_counter()
     split = opts.split
     if split is None:
-        estimates = [max(1, min(mode_rank(T, n, opts.mode_rank_tol), J))
-                     for n in range(T.ndim)]
+        estimates = [max(1, min(mode_rank(T, n), J)) for n in range(T.ndim)]
         split = plan_unfolding(estimates, J)
     if len(split.perm) != T.ndim:
         raise ValueError(f"split covers {len(split.perm)} modes, tensor has "
@@ -365,14 +341,12 @@ def _full_variant(T, Y3, split, J, opts, solver):
     groups = split.group_modes()
     comp = opts.compression
     Y3s = Y3
-    rinfo = None
     if comp is not None:
-        mode, width = _resolve_compression(comp, Y3, J)
-        Y3s, rinfo = compress_mode(Y3, mode, width, comp.kind, comp.seed)
+        m, width = _resolve_compression(comp, Y3, J)
+        Y3s = compress_mode(Y3, m, width, comp.kind, comp.seed)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)
-    if rinfo is not None and rinfo.kind != "none":
-        m = rinfo.mode
+    if Y3s.shape != Y3.shape:
         others = [kt3.factors[p] for p in range(3) if p != m]
         recovered = recover_merged_factor(T, split, m, others)
         factors3 = list(kt3.factors)
@@ -399,26 +373,19 @@ def _reduced_variant(T, Y3, split, J, opts, solver):
             f"the reduced variant estimates the leading merged factor first "
             f"and needs its size {Y3.shape[0]} >= rank {J}; use the full "
             "variant")
-    method = opts.compression.kind if opts.compression is not None else "svd"
-    count = opts.compression.count if opts.compression is not None else None
-    seed = opts.compression.seed if opts.compression is not None else None
-    seeds = np.random.SeedSequence(seed).spawn(2)
+    comp = opts.compression or Compression("svd")
+    seeds = np.random.SeedSequence(comp.seed).spawn(2)
     Y3s = Y3
     for i, m in enumerate((1, 2)):
-        width = J if method == "svd" else min(
-            count if count is not None else max(3 * J, 100), Y3s.shape[m])
+        _, width = _resolve_compression(replace(comp, mode=m), Y3s, J)
         try:
-            Y3s, _ = compress_mode(Y3s, m, width, method, seeds[i])
+            Y3s = compress_mode(Y3s, m, width, comp.kind, seeds[i])
         except ValueError as e:
             warnings.warn(f"skipping compression of merged mode {m}: {e}",
                           RuntimeWarning)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)
     G1 = kt3.factors[0]
-    eig = np.linalg.eigvalsh(G1.T @ G1)
-    if eig[0] <= (max(G1.shape) * np.finfo(np.float64).eps) ** 2 * max(eig[-1], 0):
-        raise ValueError("leading merged factor came back rank deficient; "
-                         "the reduced variant cannot continue (use full)")
     # One least-squares pull recovers the whole trailing Khatri-Rao block,
     # weights included.
     Y1 = matricize(Y3, 0)

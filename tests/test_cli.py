@@ -107,6 +107,23 @@ def test_decompose_with_init(tmp_path, capsys):
     assert fit(reconstruct(truth), reconstruct(est)) > 1 - 1e-6
 
 
+def test_decompose_mrcpd_rejects_init(tmp_path, capsys):
+    truth = gen_random_ktensor((4, 3, 4, 3), 2, seed=208)
+    inp = tmp_path / "t.tnsr"
+    initp = tmp_path / "init.ktns"
+    outp = tmp_path / "est.ktns"
+    write_tnsr(inp, reconstruct(truth))
+    write_ktns(initp, truth)
+    code = main(["decompose", "--input", str(inp), "--rank", "2",
+                 "--method", "mrcpd", "--init", str(initp),
+                 "--output", str(outp)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "init" in err
+    assert err.count("\n") == 1
+    assert not outp.exists()
+
+
 def test_analyze_tensor(tmp_path, capsys):
     truth = gen_random_ktensor((6, 5, 4, 3), 2, seed=204)
     inp = tmp_path / "t.tnsr"
@@ -195,3 +212,15 @@ def test_bench_command(tmp_path, capsys):
         rows = list(csv.reader(f))
     assert len(rows) == 3                          # header + one row per method
     assert rows[1][0] == "als" and rows[2][0] == "mrcpd"
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_bench_rejects_nonpositive_runs(tmp_path, capsys, runs):
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", "sim1", "--runs", runs, "--seed", "3",
+                 "--out", str(out_csv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runs must be >= 1" in err
+    assert err.count("\n") == 1
+    assert not out_csv.exists()

@@ -9,7 +9,6 @@ import pytest
 from cpdkit.ktensor import (
     KTNS_MAGIC,
     KTensor,
-    absorb_weights,
     fit,
     match_factors,
     msir,
@@ -104,17 +103,6 @@ def test_normalize_zero_column_kills_weight():
     B = np.ones((3, 2))
     out = normalize(KTensor([A, B]))
     assert out.weights[1] == 0.0
-
-
-def test_absorb_weights():
-    rng = np.random.default_rng(24)
-    kt = random_ktensor(rng, (3, 4), 2, weights=[5.0, -1.0])
-    out = absorb_weights(kt)
-    assert np.array_equal(out.weights, [1.0, 1.0])
-    assert np.allclose(out.factors[-1], kt.factors[-1] * kt.weights)
-    assert np.allclose(reconstruct(out), reconstruct(kt), atol=1e-12)
-    front = absorb_weights(kt, 0)
-    assert np.allclose(front.factors[0], kt.factors[0] * kt.weights)
 
 
 def test_fit_values():

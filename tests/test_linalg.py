@@ -6,13 +6,12 @@ import pytest
 
 from cpdkit import linalg
 from cpdkit.linalg import (
+    _column_signs,
     hadamard,
     khatri_rao,
-    leading_triplet,
     left_singular_pairs,
     ls_solve,
     pinv_cutoff,
-    truncated_svd,
 )
 
 
@@ -65,34 +64,6 @@ def test_hadamard():
         hadamard([])
     with pytest.raises(ValueError):
         hadamard([A, np.zeros((3, 2))])
-
-
-def test_truncated_svd_agrees_with_full():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((8, 6))
-    res = truncated_svd(M, 3)
-    s_full = np.linalg.svd(M, compute_uv=False)
-    assert np.allclose(res.s, s_full[:3], atol=1e-12)
-    assert res.U.shape == (8, 3) and res.V.shape == (6, 3)
-    assert np.allclose(res.U.T @ res.U, np.eye(3), atol=1e-12)
-    assert np.allclose(res.V.T @ res.V, np.eye(3), atol=1e-12)
-    assert np.all(np.diff(res.s) <= 1e-12)
-
-
-def test_truncated_svd_exact_on_low_rank():
-    rng = np.random.default_rng(6)
-    M = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 9))
-    res = truncated_svd(M, 3)
-    assert np.allclose(res.U @ (res.s[:, None] * res.V.T), M, atol=1e-10)
-
-
-def test_truncated_svd_validation():
-    with pytest.raises(ValueError):
-        truncated_svd(np.zeros(4), 1)
-    with pytest.raises(ValueError):
-        truncated_svd(np.zeros((3, 4)), 0)
-    with pytest.raises(ValueError):
-        truncated_svd(np.zeros((3, 4)), 4)
 
 
 def tsqr_calls(monkeypatch):
@@ -183,43 +154,6 @@ def test_left_singular_pairs_validation():
     assert np.array_equal(s, [0.0, 0.0])
 
 
-def test_leading_triplet_exact_rank1():
-    u0 = np.array([2.0, -1.0, 2.0]) / 3.0
-    v0 = np.array([0.6, 0.8])
-    M = 5.0 * np.outer(u0, v0)
-    u, sigma, v = leading_triplet(M)
-    assert sigma == pytest.approx(5.0, rel=1e-12)
-    assert abs(u @ u0) == pytest.approx(1.0, abs=1e-12)
-    assert abs(v @ v0) == pytest.approx(1.0, abs=1e-12)
-    # sign convention: first non-negligible entry of u is nonnegative
-    assert u[0] >= 0
-
-
-def test_leading_triplet_matches_svd():
-    rng = np.random.default_rng(8)
-    M = rng.standard_normal((9, 5))
-    u, sigma, v = leading_triplet(M, max_iters=2000, tol=1e-15)
-    ref = truncated_svd(M, 1)
-    assert sigma == pytest.approx(ref.s[0], rel=1e-9)
-    assert abs(u @ ref.U[:, 0]) == pytest.approx(1.0, abs=1e-8)
-    assert abs(v @ ref.V[:, 0]) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_leading_triplet_warns_at_iteration_cap():
-    rng = np.random.default_rng(99)
-    M = rng.standard_normal((4, 3))
-    # one sweep can never satisfy a zero tolerance from the cold start
-    with pytest.warns(RuntimeWarning, match="iteration cap"):
-        leading_triplet(M, max_iters=1, tol=0.0)
-
-
-def test_leading_triplet_validation():
-    with pytest.raises(ValueError):
-        leading_triplet(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        leading_triplet(np.zeros(3))
-
-
 def test_ls_solve_matches_normal_equations():
     rng = np.random.default_rng(13)
     A = rng.standard_normal((10, 4))
@@ -229,13 +163,24 @@ def test_ls_solve_matches_normal_equations():
     assert np.allclose(X, want, atol=1e-10)
 
 
-def test_ls_solve_minimum_norm_on_deficient():
+def test_ls_solve_rejects_rank_deficient():
     rng = np.random.default_rng(14)
     base = rng.standard_normal((8, 2))
     A = np.hstack([base, base[:, :1]])    # rank 2, three columns
     b = rng.standard_normal(8)
-    X = ls_solve(A, b)
-    assert np.allclose(X, np.linalg.pinv(A) @ b, atol=1e-10)
+    with pytest.raises(ValueError, match=r"rank deficient \(rank 2 of 3 "
+                                         r"columns, condition ~ "):
+        ls_solve(A, b)
+    with pytest.raises(ValueError, match="condition ~ inf"):
+        ls_solve(np.zeros((4, 2)), b[:4])
+    with pytest.raises(ValueError, match="condition ~ inf"):
+        ls_solve(base.T, b[:2])                 # more columns than rows
+    # the cutoff is pinv_cutoff: sigma_min <= max(shape) * eps * sigma_1
+    Q, _ = np.linalg.qr(base)
+    cut = pinv_cutoff(Q)
+    with pytest.raises(ValueError, match="rank 1 of 2"):
+        ls_solve(Q * [1.0, 0.5 * cut], b)
+    assert ls_solve(Q * [1.0, 4.0 * cut], b).shape == (2,)
 
 
 def test_ls_solve_validation():
@@ -243,6 +188,16 @@ def test_ls_solve_validation():
         ls_solve(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError):
         ls_solve(np.zeros(3), np.zeros(3))
+
+
+def test_column_signs():
+    U = np.array([[0.0, 1e-20, -1.0, 0.0],
+                  [-2.0, 1.0, 0.0, 0.0],
+                  [3.0, -1.0, 0.0, 0.0]])
+    # entries at or below 1e-12 of the column's peak do not lead
+    assert np.array_equal(_column_signs(U), [-1.0, 1.0, -1.0, 1.0])
+    lead = U * _column_signs(U)
+    assert np.array_equal(_column_signs(lead), np.ones(4))
 
 
 def test_pinv_cutoff_formula():

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdkit import mrcpd
 from cpdkit.als import SolverOptions
 from cpdkit.krproj import ProjectionKind
-from cpdkit.ktensor import KTensor, absorb_weights, fit, normalize, reconstruct
-from cpdkit.linalg import khatri_rao, pinv_cutoff
+from cpdkit.ktensor import KTensor, fit, normalize, reconstruct
+from cpdkit.linalg import (_column_signs, khatri_rao, left_singular_pairs,
+                           pinv_cutoff)
 from cpdkit.mrcpd import (
     Compression,
     MrcpdOptions,
@@ -65,21 +67,33 @@ def test_plan_unfolding_validation():
 
 # ------------------------------------------------------------- compression
 
+def svd_basis(M, width):
+    """``compress_mode``'s basis ``(U, s)`` for the matricization ``M``,
+    computed in its orientation: the short side is factored, and a tall
+    ``M`` gives ``U = M W / s``; columns are then signed by the sign rule."""
+    wide = M.shape[0] <= M.shape[1]
+    W, s = left_singular_pairs(M if wide else M.T, pinv_cutoff(M), width)
+    U = W if wide else (M @ W) / s
+    return U * _column_signs(U), s
+
+
 def test_compress_mode_svd_preserves_low_rank():
     truth = gen_random_ktensor((12, 5, 4), 3, seed=71)
     T3 = reconstruct(truth)
-    C, info = compress_mode(T3, 0, 3)
+    C = compress_mode(T3, 0, 3)
     assert C.shape == (3, 5, 4)
-    assert info.kind == "svd" and info.mode == 0
+    M = matricize(T3, 0)
+    U, s = svd_basis(M, 3)
+    assert np.array_equal(matricize(C, 0), (U / s).T @ M)
     # for exact rank-3 data the projection loses nothing:
     # U diag(s) (compressed unfolding) puts the original back
-    back = info.restore_factor(matricize(C, 0))
-    assert np.allclose(back, matricize(T3, 0), atol=1e-9)
+    back = U @ (matricize(C, 0) * s[:, None])
+    assert np.allclose(back, M, atol=1e-9)
 
 
 def test_compress_mode_svd_whitens():
     truth = gen_random_ktensor((12, 5, 4), 3, seed=72)
-    C, _ = compress_mode(reconstruct(truth), 0, 3)
+    C = compress_mode(reconstruct(truth), 0, 3)
     rows = matricize(C, 0)
     assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-9)
 
@@ -89,11 +103,12 @@ def test_compress_mode_svd_tall_mode():
     T3 = reconstruct(gen_random_ktensor((40, 3, 4), 3, seed=93))
     T3 = T3 + 1e-6 * np.random.default_rng(94).standard_normal(T3.shape)
     M = matricize(T3, 0)
-    C, info = compress_mode(T3, 0, 3)
+    C = compress_mode(T3, 0, 3)
+    U, s = svd_basis(M, 3)
+    assert np.array_equal(matricize(C, 0), (U / s).T @ M)
     U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
-    assert np.allclose(info.s, s_full[:3], rtol=1e-10)
-    assert np.allclose(info.U @ info.U.T, U_full[:, :3] @ U_full[:, :3].T,
-                       atol=1e-10)
+    assert np.allclose(s, s_full[:3], rtol=1e-10)
+    assert np.allclose(U @ U.T, U_full[:, :3] @ U_full[:, :3].T, atol=1e-10)
     rows = matricize(C, 0)
     assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-9)
     with pytest.raises(ValueError, match="singular"):
@@ -103,25 +118,21 @@ def test_compress_mode_svd_tall_mode():
 
 def test_compress_mode_noop_paths():
     T3 = np.random.default_rng(73).standard_normal((3, 4, 5))
-    same, info = compress_mode(T3, 0, 3)
-    assert info.kind == "none"
+    same = compress_mode(T3, 0, 3)
     assert np.array_equal(same, T3)
-    assert np.array_equal(info.restore_factor(np.eye(3)), np.eye(3))
 
-    same2, info2 = compress_mode(T3, 1, 4, method="fibers")
-    assert info2.kind == "none"
+    same2 = compress_mode(T3, 1, 4, method="fibers")
+    assert np.array_equal(same2, T3)
 
 
 def test_compress_mode_fibers():
     T3 = np.random.default_rng(74).standard_normal((8, 4, 3))
-    C, info = compress_mode(T3, 0, 5, method="fibers", seed=7)
-    C2, info2 = compress_mode(T3, 0, 5, method="fibers", seed=7)
+    C = compress_mode(T3, 0, 5, method="fibers", seed=7)
+    C2 = compress_mode(T3, 0, 5, method="fibers", seed=7)
     assert np.array_equal(C, C2)
-    assert np.array_equal(info.rows, info2.rows)
-    assert np.all(np.diff(info.rows) > 0)
-    assert np.array_equal(matricize(C, 0), matricize(T3, 0)[info.rows])
-    with pytest.raises(ValueError, match="no inverse map"):
-        info.restore_factor(np.zeros((5, 2)))
+    rows = np.sort(np.random.default_rng(7).choice(8, size=5, replace=False))
+    assert np.all(np.diff(rows) > 0)
+    assert np.array_equal(matricize(C, 0), matricize(T3, 0)[rows])
 
 
 def test_compress_mode_validation():
@@ -164,19 +175,21 @@ def test_compress_mode_svd_matches_full_svd(shape, rank, extra, seed, rel):
         with pytest.raises(ValueError, match="singular"):
             compress_mode(T3, 0, width)
         return
-    C, info = compress_mode(T3, 0, width)
+    C = compress_mode(T3, 0, width)
+    U, s = svd_basis(M, width)
+    assert np.array_equal(matricize(C, 0), (U / s).T @ M)
     U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
     # the Gram route moves squared singular values by at most
     # 2 (m + n) eps ||M||_F^2, which squares the conditioning of whitening
     delta = 2 * sum(M.shape) * np.finfo(float).eps * s_full @ s_full
-    assert np.all(np.abs(info.s ** 2 - s_full[:width] ** 2)
+    assert np.all(np.abs(s ** 2 - s_full[:width] ** 2)
                   <= delta + 1e-12 * s_full[0] ** 2)
     cond = s_full[0] / s_full[width - 1]
     rows = matricize(C, 0)
     assert np.allclose(rows @ rows.T, np.eye(width), atol=1e-12 * cond ** 2)
     if width == rank:
         # a gap behind the kept directions pins the subspace down
-        P = info.U @ info.U.T
+        P = U @ U.T
         assert np.allclose(P, U_full[:, :width] @ U_full[:, :width].T,
                            atol=1e-10)
 
@@ -296,6 +309,45 @@ def test_decompose_with_svd_compression():
                            solver_opts=solver_opts(2), restarts=4))
     assert fit(T, reconstruct(est)) > 1 - 1e-6
     assert bound.holds
+
+
+def test_svd_compression_ignores_basis_signs(monkeypatch):
+    # compressing a merged mode that the inner solve does not update first:
+    # flipping basis columns must not change the result
+    truth = gen_random_ktensor((6, 5, 4, 7), 3, seed=97)
+    T = reconstruct(truth)
+    T = T + 0.05 * frobenius_norm(T) / np.sqrt(T.size) \
+        * np.random.default_rng(98).standard_normal(T.shape)
+    opts = MrcpdOptions(split=ModeSplit((0, 1, 2, 3), (0, 1, 3, 4)),
+                        compression=Compression("svd", mode=1),
+                        solver_opts=solver_opts(10, max_iters=200, tol=1e-9),
+                        restarts=3)
+    est_a, rep_a, bound_a = mrcpd_decompose(T, 3, opts)
+
+    real = mrcpd.left_singular_pairs
+
+    def flipped(M, rtol, r=None):
+        U, s = real(M, rtol, r)
+        U = U.copy()
+        U[:, ::2] *= -1
+        return U, s
+
+    monkeypatch.setattr(mrcpd, "left_singular_pairs", flipped)
+    est_b, rep_b, bound_b = mrcpd_decompose(T, 3, opts)
+    assert rep_a.iterations == rep_b.iterations
+    assert rep_a.fit_trace == rep_b.fit_trace
+    assert bound_a.final_err == bound_b.final_err
+    for A, B in zip(est_a.factors, est_b.factors):
+        assert np.array_equal(A, B)
+    assert np.array_equal(est_a.weights, est_b.weights)
+
+
+def test_decompose_rejects_init():
+    T = reconstruct(gen_random_ktensor((4, 3, 4, 3), 2, seed=99))
+    init = gen_random_ktensor((4, 3, 4, 3), 2, seed=100)
+    with pytest.raises(ValueError, match="solver_opts.init"):
+        mrcpd_decompose(T, 2, MrcpdOptions(solver_opts=SolverOptions(
+            init=init)))
 
 
 def test_decompose_with_fiber_compression():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from cpdkit import als
 from cpdkit.als import SolverOptions, cp_als, get_solver, register_solver
 from cpdkit.ktensor import KTensor, fit, reconstruct
+from cpdkit.mrcpd import MrcpdOptions, mrcpd_decompose
 from cpdkit.synth import gen_random_ktensor
 
 
@@ -128,6 +130,43 @@ def test_solver_registry():
     T = reconstruct(gen_random_ktensor((4, 4, 4), 2, seed=41))
     got(T, 2, SolverOptions(max_iters=2, seed=0))
     assert calls == [2]
+
+
+def test_registry_hooks_seen_from_outside(monkeypatch):
+    # Span tracers rely on two things: the "als" entry resolves
+    # cpdkit.als.cp_als when it is called, not when it was registered, and
+    # mrcpd_decompose returns a report sharing its fit_trace list with the
+    # report of the restart it kept.
+    calls = []
+
+    def spy(T, J, opts):
+        calls.append(T.shape)
+        return cp_als(T, J, opts)
+
+    monkeypatch.setattr(als, "cp_als", spy)
+    T3 = reconstruct(gen_random_ktensor((4, 4, 4), 2, seed=42))
+    get_solver("als")(T3, 2, SolverOptions(max_iters=2, seed=0))
+    assert calls == [(4, 4, 4)]
+
+    original = get_solver("als")
+    reports = []
+
+    def probe(T, J, opts):
+        kt, rep = original(T, J, opts)
+        reports.append(rep)
+        return kt, rep
+
+    register_solver("als", probe)
+    try:
+        T = reconstruct(gen_random_ktensor((4, 3, 4, 3), 2, seed=43))
+        _, rep, _ = mrcpd_decompose(T, 2, MrcpdOptions(
+            solver_opts=SolverOptions(max_iters=20, seed=1), restarts=3))
+    finally:
+        register_solver("als", original)
+    assert len(reports) == 3
+    kept = [r for r in reports if r.fit_trace is rep.fit_trace]
+    assert len(kept) == 1
+    assert kept[0].final_fit == max(r.final_fit for r in reports)
 
 
 def test_solver_options_validation():
