@@ -1,8 +1,10 @@
 """Alternating least squares for the CP model, plus a small solver registry.
 
-The registry lets the mode-reduction pipeline swap in any conforming
-third-order solver; the default registration is the ALS routine below
-restricted to third-order input.
+The mode-reduction pipeline runs its inner third-order solve through the
+registry entry ``"als"``, looked up on every call, so registering another
+conforming solver under that name replaces the pipeline's solve.  The
+default entry is the ALS routine below restricted to third-order input; it
+resolves :func:`cp_als` when called, so patching ``cp_als`` reaches it too.
 """
 
 from __future__ import annotations

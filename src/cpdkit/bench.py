@@ -47,6 +47,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if min(self.shape) < 3:  # the bottleneck generator's floor
+            raise ValueError(f"mode sizes must be >= 3, got {self.shape}")
 
 
 @dataclass

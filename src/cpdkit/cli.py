@@ -47,7 +47,8 @@ def format_split(split: ModeSplit) -> str:
     return "|".join(",".join(str(m + 1) for m in g) for g in split.group_modes())
 
 
-def parse_compress(text: str) -> Compression | None:
+def parse_compress(text: str, seed=None) -> Compression | None:
+    """Parse ``--compress``; ``seed`` picks the sampled fibers."""
     if text == "none":
         return None
     parts = text.split(":")
@@ -55,7 +56,7 @@ def parse_compress(text: str) -> Compression | None:
         return Compression("svd", mode=int(parts[1]) - 1)
     if parts[0] == "fibers" and len(parts) == 3:
         return Compression("fibers", mode=int(parts[1]) - 1,
-                           count=int(parts[2]))
+                           count=int(parts[2]), seed=seed)
     raise ValueError(f"bad --compress value {text!r}; expected none, "
                      "svd:MODE or fibers:MODE:COUNT")
 
@@ -87,7 +88,7 @@ def _cmd_decompose(args) -> int:
             solver_opts=sopts,
             krproj=args.krproj,
             projection=parse_proj(args.proj),
-            compression=parse_compress(args.compress))
+            compression=parse_compress(args.compress, args.seed))
         kt, rep, bound = mrcpd_decompose(T, args.rank, opts)
         norm_t = float(np.linalg.norm(T.ravel()))
         print(f"method=mrcpd fit={float(1.0 - bound.final_err / norm_t)!r} "
@@ -101,10 +102,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_bench(args) -> int:
     if args.experiment == "sim1":
         cfg = sim1_config(args.runs, args.seed,
-                          args.scale if args.scale else 20)
+                          20 if args.scale is None else args.scale)
     else:
         cfg = sim2_config(args.runs, args.seed,
-                          args.scale if args.scale else 50)
+                          50 if args.scale is None else args.scale)
     records = run_benchmark(cfg, out_csv=args.out)
     for method, stats in summarize(records, cfg.gcr_threshold).items():
         print(f"method={method} gcr_pct={stats['gcr_pct']:.1f} "

@@ -171,7 +171,7 @@ def kr_project(H, sizes, method: str = "svd",
         Per-mode singular vectors, or alternating (optionally constrained)
         power iterations.
     proj : ProjectionKind
-        Constraint for the power method (ignored by "svd").
+        Constraint for the power method; "svd" takes none and rejects one.
 
     Returns
     -------
@@ -191,6 +191,9 @@ def kr_project(H, sizes, method: str = "svd",
                          f"{int(np.prod(sizes))} rows")
     if method not in ("svd", "power"):
         raise ValueError(f"unknown KR projection method {method!r}")
+    if method == "svd" and proj.kind != "none":
+        raise ValueError(f"the {proj.kind} constraint needs method 'power'; "
+                         "the svd projection drops it")
     J = H.shape[1]
     P = len(sizes)
     factors = [np.zeros((s, J)) for s in sizes]

@@ -1,9 +1,11 @@
 """CP decomposition of high-order tensors through a third-order detour.
 
-The pipeline: pick (or accept) a three-group mode split, merge the grouped
-modes, optionally shrink one merged mode, run a third-order solver, undo the
-compression by least squares against the uncompressed data, and split every
-merged factor back into per-mode factors by columnwise rank-1 projection.
+The pipeline is one path: pick (or accept) a three-group mode split, merge
+the grouped modes, optionally shrink one merged mode, run the solver
+registered as ``"als"`` on the third-order tensor (keeping the best of
+several restarts), re-estimate the compressed mode's factor by least squares
+against the uncompressed merged tensor, and split every merged factor back
+into per-mode factors by columnwise rank-1 projection.
 The final factors come with a certified error bound: writing ``e3`` for the
 third-order residual and ``eps_K`` for the (weighted) projection residual,
 
@@ -15,7 +17,6 @@ can only come from a bug, never from bad data.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -40,8 +41,8 @@ class Compression:
     singular subspace, whitened) or ``fibers`` (keep a random sorted row
     subset of the matricization, which preserves nonnegativity).  ``mode``
     indexes the merged tensor; ``None`` means the largest merged mode.
-    ``count`` (fibers only) defaults to ``max(3 J, 100)`` capped at the mode
-    size.
+    ``count`` (fibers only; ``svd`` keeps J directions and rejects a count)
+    defaults to ``max(3 J, 100)`` capped at the mode size.
     """
 
     kind: str
@@ -52,6 +53,9 @@ class Compression:
     def __post_init__(self):
         if self.kind not in ("svd", "fibers"):
             raise ValueError(f"unknown compression kind {self.kind!r}")
+        if self.kind == "svd" and self.count is not None:
+            raise ValueError("svd compression keeps J directions and takes "
+                             "no count; count is for fibers")
         if self.count is not None and self.count < 1:
             raise ValueError("fiber count must be positive")
 
@@ -61,32 +65,29 @@ class MrcpdOptions:
     """Knobs for :func:`mrcpd_decompose`.
 
     ``split=None`` plans the unfolding automatically from J-capped mode
-    ranks (:func:`mode_rank` at its default tolerance).  ``compression``
-    shrinks one merged mode before the inner solve (see
-    :func:`compress_mode`).  ``solver_opts.init`` must be ``None``: the
+    ranks (:func:`mode_rank` at its default tolerance).  ``solver_opts``
+    drives every inner solve; its ``init`` must be ``None``, because the
     inner solver sees the merged third-order tensor, which an order-N
-    starting point does not fit.  ``variant`` selects the standard pipeline ("full") or the
-    one-factor-first variant ("reduced") that compresses both trailing
-    merged modes, keeps only the leading factor from the third-order solve,
-    and pulls the remaining Khatri-Rao block out in a single least-squares
-    step.  ``restarts`` reruns the inner solver from fresh seeds and keeps
-    the best fit.
+    starting point does not fit.  ``krproj`` and ``projection`` are passed
+    to :func:`kr_project`; a constraint needs ``krproj="power"``.
+    ``compression`` shrinks one merged mode before the inner solve (see
+    :func:`compress_mode`).  ``restarts`` reruns the inner solver from
+    fresh seeds and keeps the best fit.
     """
 
     split: ModeSplit | None = None
-    solver: str = "als"
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
     krproj: str = "svd"
     projection: ProjectionKind = field(default_factory=ProjectionKind.none)
     compression: Compression | None = None
-    variant: str = "full"
     restarts: int = 1
 
     def __post_init__(self):
-        if self.variant not in ("full", "reduced"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.krproj not in ("svd", "power"):
             raise ValueError(f"unknown KR projection method {self.krproj!r}")
+        if self.krproj == "svd" and self.projection.kind != "none":
+            raise ValueError(f"the {self.projection.kind} constraint needs "
+                             "krproj='power'; the svd projection drops it")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -203,15 +204,15 @@ def compress_mode(T3, mode: int, width: int, method: str = "svd",
     return tensorize(newM, tuple(shape), mode)
 
 
-def recover_merged_factor(T, split: ModeSplit, k: int, known_factors):
+def recover_merged_factor(Y3, k: int, known_factors):
     """Least-squares estimate of merged factor ``k`` given the others.
 
-    Solves ``matricize(reduced T, k) ~ G_k @ khatri_rao(known).T``; the
-    result absorbs the component weights.  The Khatri-Rao product of the
-    known factors must have full column rank.
+    Solves ``matricize(Y3, k) ~ G_k @ khatri_rao(known).T`` on the merged
+    tensor ``Y3`` (see :func:`reduce_modes`); the result absorbs the
+    component weights.  The Khatri-Rao product of the known factors must
+    have full column rank.
     """
-    T = np.asarray(T, dtype=np.float64)
-    Y3 = reduce_modes(T, split)
+    Y3 = np.asarray(Y3, dtype=np.float64)
     if not 0 <= k < Y3.ndim:
         raise ValueError(f"group {k} out of range")
     known = [np.asarray(A, dtype=np.float64) for A in known_factors]
@@ -257,24 +258,6 @@ def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
     return best
 
 
-def _resolve_compression(comp, Y3, J):
-    """Fill in the defaulted mode/width of a compression request."""
-    mode = comp.mode
-    if mode is None:
-        mode = int(np.argmax(Y3.shape))
-    if comp.kind == "svd":
-        width = J
-    else:
-        width = comp.count if comp.count is not None else max(3 * J, 100)
-        width = min(width, Y3.shape[mode])
-    return mode, width
-
-
-def _weighted_resid(G, projected, weights):
-    """||(G - projected) diag(weights)||_F."""
-    return float(np.linalg.norm((G - projected) * weights[None, :]))
-
-
 def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     """Decompose an order >= 4 tensor via merge, solve, project.
 
@@ -295,7 +278,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     if opts.solver_opts.init is not None:
         raise ValueError("mrcpd_decompose does not take solver_opts.init: the "
                          "inner solver runs on the merged third-order tensor")
-    solver = get_solver(opts.solver)
+    solver = get_solver("als")
 
     start = perf_counter()
     split = opts.split
@@ -310,12 +293,43 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
                          f"has {split.num_groups} groups")
     Y3 = reduce_modes(T, split)
 
-    if opts.variant == "reduced":
-        est, rep, fit3, eps_k = _reduced_variant(T, Y3, split, J, opts, solver)
-    else:
-        est, rep, fit3, eps_k = _full_variant(T, Y3, split, J, opts, solver)
+    comp = opts.compression
+    Y3s = Y3
+    if comp is not None:
+        m = int(np.argmax(Y3.shape)) if comp.mode is None else comp.mode
+        if comp.kind == "svd":
+            width = J
+        else:
+            width = comp.count if comp.count is not None else max(3 * J, 100)
+            width = min(width, Y3.shape[m])
+        Y3s = compress_mode(Y3, m, width, comp.kind, comp.seed)
+    kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
+    kt3 = normalize(kt3, all_modes=True)
+    if Y3s.shape != Y3.shape:
+        factors3 = list(kt3.factors)
+        others = [factors3[p] for p in range(3) if p != m]
+        factors3[m] = recover_merged_factor(Y3, m, others)
+        kt3 = normalize(KTensor(factors3), all_modes=True)
+    fit3 = float(np.linalg.norm((Y3 - reconstruct(kt3)).ravel()))
+    # Y3 is a full copy of T: free it before the bound check allocates two
+    # more tensor-sized arrays.
+    del Y3, Y3s
 
-    est = normalize(est)
+    # Split each merged factor; eps_k sums the weighted projection residuals.
+    lam = kt3.weights
+    eps_k = 0.0
+    factors_by_mode = {}
+    for G, modes in zip(kt3.factors, split.group_modes()):
+        if len(modes) == 1:
+            factors_by_mode[modes[0]] = G
+            continue
+        factors, _ = kr_project(G, [T.shape[n] for n in modes],
+                                method=opts.krproj, proj=opts.projection)
+        eps_k += float(np.linalg.norm((G - khatri_rao(factors))
+                                      * lam[None, :]))
+        factors_by_mode.update(zip(modes, factors))
+    est = normalize(KTensor([factors_by_mode[n] for n in range(T.ndim)], lam))
+
     report = verify_error_bound(T, est, fit3, eps_k)
     if not report.holds:
         raise RuntimeError(
@@ -324,84 +338,3 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
             "is a bug in the pipeline, please report it")
     rep = replace(rep, runtime_s=perf_counter() - start)
     return est, rep, report
-
-
-def _project_group(G, modes, shape, lam, opts):
-    """KR-project one merged factor; returns per-mode factors and the
-    weighted residual that feeds the bound."""
-    if len(modes) == 1:
-        return [G], 0.0
-    sizes = [shape[m] for m in modes]
-    factors, _ = kr_project(G, sizes, method=opts.krproj, proj=opts.projection)
-    resid = _weighted_resid(G, khatri_rao(factors), lam)
-    return factors, resid
-
-
-def _full_variant(T, Y3, split, J, opts, solver):
-    groups = split.group_modes()
-    comp = opts.compression
-    Y3s = Y3
-    if comp is not None:
-        m, width = _resolve_compression(comp, Y3, J)
-        Y3s = compress_mode(Y3, m, width, comp.kind, comp.seed)
-    kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
-    kt3 = normalize(kt3, all_modes=True)
-    if Y3s.shape != Y3.shape:
-        others = [kt3.factors[p] for p in range(3) if p != m]
-        recovered = recover_merged_factor(T, split, m, others)
-        factors3 = list(kt3.factors)
-        factors3[m] = recovered
-        kt3 = normalize(KTensor(factors3), all_modes=True)
-    fit3 = float(np.linalg.norm((Y3 - reconstruct(kt3)).ravel()))
-    lam = kt3.weights
-    eps_k = 0.0
-    factors_by_mode = {}
-    for k, modes in enumerate(groups):
-        factors, resid = _project_group(kt3.factors[k], modes, T.shape, lam,
-                                        opts)
-        eps_k += resid
-        for m, F in zip(modes, factors):
-            factors_by_mode[m] = F
-    est = KTensor([factors_by_mode[m] for m in range(T.ndim)], lam)
-    return est, rep, fit3, eps_k
-
-
-def _reduced_variant(T, Y3, split, J, opts, solver):
-    groups = split.group_modes()
-    if Y3.shape[0] < J:
-        raise ValueError(
-            f"the reduced variant estimates the leading merged factor first "
-            f"and needs its size {Y3.shape[0]} >= rank {J}; use the full "
-            "variant")
-    comp = opts.compression or Compression("svd")
-    seeds = np.random.SeedSequence(comp.seed).spawn(2)
-    Y3s = Y3
-    for i, m in enumerate((1, 2)):
-        _, width = _resolve_compression(replace(comp, mode=m), Y3s, J)
-        try:
-            Y3s = compress_mode(Y3s, m, width, comp.kind, seeds[i])
-        except ValueError as e:
-            warnings.warn(f"skipping compression of merged mode {m}: {e}",
-                          RuntimeWarning)
-    kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
-    kt3 = normalize(kt3, all_modes=True)
-    G1 = kt3.factors[0]
-    # One least-squares pull recovers the whole trailing Khatri-Rao block,
-    # weights included.
-    Y1 = matricize(Y3, 0)
-    C = ls_solve(G1, Y1).T
-    fit3 = float(np.linalg.norm(Y1 - G1 @ C.T))
-
-    col_norms = np.linalg.norm(C, axis=0)
-    f1, resid1 = _project_group(G1, groups[0], T.shape, col_norms, opts)
-    tail_modes = list(groups[1]) + list(groups[2])
-    tail_sizes = [T.shape[m] for m in tail_modes]
-    tail_factors, _ = kr_project(C, tail_sizes, method=opts.krproj,
-                                 proj=opts.projection)
-    resid_tail = float(np.linalg.norm(C - khatri_rao(tail_factors)))
-    eps_k = resid1 + resid_tail
-
-    factors_by_mode = dict(zip(groups[0], f1))
-    factors_by_mode.update(zip(tail_modes, tail_factors))
-    est = KTensor([factors_by_mode[m] for m in range(T.ndim)], np.ones(J))
-    return est, rep, fit3, eps_k

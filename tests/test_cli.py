@@ -124,6 +124,47 @@ def test_decompose_mrcpd_rejects_init(tmp_path, capsys):
     assert not outp.exists()
 
 
+def test_decompose_fibers_follow_seed(tmp_path):
+    T = reconstruct(gen_random_ktensor((6, 5, 6, 5), 2, seed=1))
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, T)
+    outputs = []
+    for i in range(2):
+        outp = tmp_path / f"est{i}.ktns"
+        code = main(["decompose", "--input", str(inp), "--rank", "2",
+                     "--method", "mrcpd", "--seed", "0",
+                     "--compress", "fibers:3:12", "--output", str(outp)])
+        assert code == 0
+        outputs.append(outp.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["decompose", "krproj"])
+def test_constraint_without_power_method_rejected(tmp_path, capsys, command):
+    # the svd projection cannot apply a constraint; --proj nonneg needs
+    # --krproj power (decompose) or --method power (krproj)
+    rng = np.random.default_rng(209)
+    inp = tmp_path / "t.tnsr"
+    outp = tmp_path / "est.ktns"
+    if command == "decompose":
+        write_tnsr(inp, reconstruct(gen_random_ktensor((4, 3, 4, 3), 2,
+                                                       seed=210)))
+        argv = ["decompose", "--input", str(inp), "--rank", "2",
+                "--method", "mrcpd", "--proj", "nonneg",
+                "--output", str(outp)]
+    else:
+        write_tnsr(inp, khatri_rao([rng.standard_normal((4, 2)),
+                                    rng.standard_normal((5, 2))]))
+        argv = ["krproj", "--input", str(inp), "--shape", "4,5",
+                "--proj", "nonneg"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "power" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not outp.exists()
+
+
 def test_analyze_tensor(tmp_path, capsys):
     truth = gen_random_ktensor((6, 5, 4, 3), 2, seed=204)
     inp = tmp_path / "t.tnsr"
@@ -222,5 +263,17 @@ def test_bench_rejects_nonpositive_runs(tmp_path, capsys, runs):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "runs must be >= 1" in err
+    assert err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("experiment", ["sim1", "sim2"])
+def test_bench_rejects_scale_zero(tmp_path, capsys, experiment):
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", experiment, "--runs", "1", "--seed", "3",
+                 "--scale", "0", "--out", str(out_csv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mode sizes must be >= 3" in err
     assert err.count("\n") == 1
     assert not out_csv.exists()

@@ -164,3 +164,14 @@ def test_kr_project_validation():
         kr_project(H, (3, 4), method="magic")
     with pytest.raises(ValueError):
         kr_project(np.zeros(12), (3, 4))
+
+
+def test_kr_project_svd_rejects_constraint():
+    H = khatri_rao([np.ones((3, 2)), np.eye(4, 2)])
+    with pytest.raises(ValueError, match="power"):
+        kr_project(H, (3, 4), proj=ProjectionKind.nonneg())
+    with pytest.raises(ValueError, match="power"):
+        kr_project(H, (3, 4), method="svd", proj=ProjectionKind.soft(0.1))
+    factors, _ = kr_project(H, (3, 4), method="power",
+                            proj=ProjectionKind.nonneg())
+    assert all(np.all(F >= 0) for F in factors)

@@ -204,7 +204,7 @@ def test_recover_merged_factor():
               truth.factors[2], truth.factors[3]]
     for k in range(3):
         known = [merged[i] for i in range(3) if i != k]
-        got = recover_merged_factor(T, split, k, known)
+        got = recover_merged_factor(reduce_modes(T, split), k, known)
         assert np.allclose(got, merged[k], atol=1e-9)
 
 
@@ -212,14 +212,14 @@ def test_recover_merged_factor_validation():
     truth = gen_random_ktensor((5, 4, 3, 6), 2, seed=78)
     T = reconstruct(truth)
     split = ModeSplit((0, 1, 2, 3), (0, 2, 3, 4))
+    Y3 = reduce_modes(T, split)
     with pytest.raises(ValueError, match="out of range"):
-        recover_merged_factor(T, split, 3, [truth.factors[2],
-                                            truth.factors[3]])
+        recover_merged_factor(Y3, 3, [truth.factors[2], truth.factors[3]])
     with pytest.raises(ValueError, match="known factors"):
-        recover_merged_factor(T, split, 0, [truth.factors[2]])
+        recover_merged_factor(Y3, 0, [truth.factors[2]])
     dead = np.ones((3, 2))                         # collinear columns
     with pytest.raises(ValueError, match="rank deficient"):
-        recover_merged_factor(T, split, 0, [dead, np.ones((6, 2))])
+        recover_merged_factor(Y3, 0, [dead, np.ones((6, 2))])
 
 
 # -------------------------------------------------------------- the bound
@@ -286,16 +286,6 @@ def test_decompose_explicit_split_and_order5():
     split = ModeSplit((2, 0, 4, 1, 3), (0, 2, 4, 5))
     est, _, bound = mrcpd_decompose(
         T, 2, MrcpdOptions(split=split, solver_opts=solver_opts(1),
-                           restarts=4))
-    assert fit(T, reconstruct(est)) > 1 - 1e-6
-    assert bound.holds
-
-
-def test_decompose_reduced_variant():
-    truth = gen_random_ktensor((7, 5, 4, 6), 2, seed=84)
-    T = reconstruct(truth)
-    est, _, bound = mrcpd_decompose(
-        T, 2, MrcpdOptions(variant="reduced", solver_opts=solver_opts(3),
                            restarts=4))
     assert fit(T, reconstruct(est)) > 1 - 1e-6
     assert bound.holds
@@ -421,18 +411,57 @@ def test_decompose_rejects_non_finite(bad):
         mrcpd_decompose(T, 2)
 
 
-def test_reduced_variant_needs_wide_leading_group():
-    T = reconstruct(gen_random_ktensor((2, 2, 2, 2), 2, seed=91))
-    with pytest.raises(ValueError, match="size"):
-        mrcpd_decompose(T, 3, MrcpdOptions(
-            variant="reduced",
-            split=ModeSplit((0, 1, 2, 3), (0, 1, 2, 4)),
-            solver_opts=solver_opts(0)))
+@pytest.mark.parametrize("kind", [None, "svd", "fibers"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pipeline_properties(kind, data):
+    # random exact low-rank order-4/5 tensors, any three-group split, and a
+    # rank at or below the true rank
+    N = data.draw(st.sampled_from([4, 5]))
+    shape = data.draw(st.tuples(*[st.integers(2, 5)] * N))
+    R = data.draw(st.integers(1, 4))
+    J = data.draw(st.integers(1, R))
+    seed = data.draw(st.integers(0, 2 ** 30))
+    b1 = data.draw(st.integers(1, N - 2))
+    b2 = data.draw(st.integers(b1 + 1, N - 1))
+    split = ModeSplit(data.draw(st.permutations(range(N))), (0, b1, b2, N))
+    comp = None
+    if kind == "svd":
+        comp = Compression("svd")
+    elif kind == "fibers":
+        # sample fewer rows than the largest merged mode has
+        largest = max(split.group_sizes(shape))
+        comp = Compression("fibers", seed=seed,
+                           count=data.draw(st.integers(1, largest - 1)))
+    truth = gen_random_ktensor(shape, R, seed=seed)
+    T = reconstruct(truth)
+    norm_t = frobenius_norm(T)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        est, _, bound = mrcpd_decompose(T, J, MrcpdOptions(
+            split=split, compression=comp,
+            solver_opts=solver_opts(seed, max_iters=30, tol=1e-10)))
+    assert bound.holds
+    final_err = frobenius_norm(T - reconstruct(est))
+    assert final_err <= (bound.fit3 + np.sqrt(J) * bound.eps_k
+                         + 1e-9 * norm_t)
+
+    Y3 = reduce_modes(T, split)
+    merged = [khatri_rao([truth.factors[m] for m in g])
+              for g in split.group_modes()]
+    for k in range(3):
+        others = [merged[p] for p in range(3) if p != k]
+        got = recover_merged_factor(Y3, k, others)
+        assert np.linalg.norm(got - merged[k]) <= 1e-8 * np.linalg.norm(
+            merged[k])
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        MrcpdOptions(variant="turbo")
+    with pytest.raises(ValueError, match="krproj='power'"):
+        MrcpdOptions(projection=ProjectionKind.nonneg())
+    with pytest.raises(ValueError, match="no count"):
+        Compression("svd", count=5)
     with pytest.raises(ValueError):
         MrcpdOptions(krproj="qr")
     with pytest.raises(ValueError):
