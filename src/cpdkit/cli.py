@@ -47,16 +47,19 @@ def format_split(split: ModeSplit) -> str:
     return "|".join(",".join(str(m + 1) for m in g) for g in split.group_modes())
 
 
-def parse_compress(text: str, seed=None) -> Compression | None:
-    """Parse ``--compress``; ``seed`` picks the sampled fibers."""
+def parse_compress(text: str) -> Compression | None:
+    """Parse ``--compress``; MODE is a 1-based merged mode (1..3).  The
+    sampled fibers follow the solver seed."""
     if text == "none":
         return None
     parts = text.split(":")
-    if parts[0] == "svd" and len(parts) == 2:
-        return Compression("svd", mode=int(parts[1]) - 1)
-    if parts[0] == "fibers" and len(parts) == 3:
-        return Compression("fibers", mode=int(parts[1]) - 1,
-                           count=int(parts[2]), seed=seed)
+    if (parts[0], len(parts)) in (("svd", 2), ("fibers", 3)):
+        mode = int(parts[1])
+        if not 1 <= mode <= 3:
+            raise ValueError(f"--compress mode {parts[1]} out of range; the "
+                             "merged tensor has modes 1, 2 and 3")
+        count = int(parts[2]) if parts[0] == "fibers" else None
+        return Compression(parts[0], mode=mode - 1, count=count)
     raise ValueError(f"bad --compress value {text!r}; expected none, "
                      "svd:MODE or fibers:MODE:COUNT")
 
@@ -73,6 +76,13 @@ def parse_proj(text: str) -> ProjectionKind:
 
 
 def _cmd_decompose(args) -> int:
+    if args.method == "als":
+        for flag, value, default in (("--split", args.split, None),
+                                     ("--compress", args.compress, "none"),
+                                     ("--proj", args.proj, "none")):
+            if value != default:
+                raise ValueError(f"{flag} is for --method mrcpd; "
+                                 "--method als does not use it")
     T = read_tnsr(args.input)
     init = read_ktns(args.init) if args.init else None
     sopts = SolverOptions(max_iters=args.max_iters, tol=args.solver_tol,
@@ -86,9 +96,8 @@ def _cmd_decompose(args) -> int:
         opts = MrcpdOptions(
             split=parse_split(args.split) if args.split else None,
             solver_opts=sopts,
-            krproj=args.krproj,
             projection=parse_proj(args.proj),
-            compression=parse_compress(args.compress, args.seed))
+            compression=parse_compress(args.compress))
         kt, rep, bound = mrcpd_decompose(T, args.rank, opts)
         norm_t = float(np.linalg.norm(T.ravel()))
         print(f"method=mrcpd fit={float(1.0 - bound.final_err / norm_t)!r} "
@@ -180,8 +189,7 @@ def _cmd_krproj(args) -> int:
         raise ValueError(f"expected an order-2 tensor (a matrix), got order "
                          f"{H.ndim}")
     sizes = [int(tok) for tok in args.shape.split(",") if tok.strip()]
-    factors, eps = kr_project(H, sizes, method=args.method,
-                              proj=parse_proj(args.proj))
+    factors, eps = kr_project(H, sizes, proj=parse_proj(args.proj))
     print(f"eps_k={eps!r}")
     return 0
 
@@ -201,10 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max-iters", type=int, default=100)
     d.add_argument("--seed", type=int, default=None)
     d.add_argument("--compress", default="none",
-                   help="none | svd:MODE | fibers:MODE:COUNT (mrcpd only)")
-    d.add_argument("--krproj", choices=("svd", "power"), default="svd")
+                   help="none | svd:MODE | fibers:MODE:COUNT, MODE 1..3 "
+                        "(mrcpd only)")
     d.add_argument("--proj", default="none",
-                   help="none | nonneg | soft:LAMBDA")
+                   help="none | nonneg | soft:LAMBDA (mrcpd only; a "
+                        "constraint runs the power fitter)")
     d.add_argument("--init", default=None,
                    help="initial factors file (als only)")
     d.add_argument("--output", required=True)
@@ -228,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--input", required=True,
                    help="order-2 tensor file holding the merged factor")
     k.add_argument("--shape", required=True, help='mode sizes, e.g. "4,5"')
-    k.add_argument("--method", choices=("svd", "power"), default="svd")
-    k.add_argument("--proj", default="none")
+    k.add_argument("--proj", default="none",
+                   help="none | nonneg | soft:LAMBDA (a constraint runs the "
+                        "power fitter)")
     k.set_defaults(func=_cmd_krproj)
     return p
 

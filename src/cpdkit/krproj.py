@@ -5,11 +5,13 @@ per-mode columns.  Projecting back means fitting, for every column, the
 nearest rank-1 tensor after reshaping the column into the group's mode
 sizes (canonical order).  Two fitters are available: independent dominant
 singular vectors per mode unfolding, and alternating power iterations that
-can enforce simple constraints after every update.
+can enforce simple constraints after every update.  The constraint picks
+the fitter: none takes the closed-form SVD fit, any other the power one.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +29,8 @@ class ProjectionKind:
     """Entrywise constraint applied during power iterations.
 
     ``kind`` is one of ``none`` (identity), ``nonneg`` (clamp negatives to
-    zero) or ``soft`` (soft-thresholding with level ``lam``).
+    zero) or ``soft`` (soft-thresholding with level ``lam``).  ``lam`` must
+    be finite and nonnegative, and nonzero only for ``soft``.
     """
 
     kind: str = "none"
@@ -36,8 +39,14 @@ class ProjectionKind:
     def __post_init__(self):
         if self.kind not in ("none", "nonneg", "soft"):
             raise ValueError(f"unknown projection kind {self.kind!r}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"soft-threshold level must be finite, got "
+                             f"{self.lam}")
         if self.lam < 0:
             raise ValueError("soft-threshold level must be nonnegative")
+        if self.lam != 0 and self.kind != "soft":
+            raise ValueError(f"the {self.kind} projection takes no level; "
+                             f"got lam={self.lam}")
 
     @classmethod
     def none(cls) -> "ProjectionKind":
@@ -95,17 +104,15 @@ def _rank1_dense(vectors):
     return out
 
 
-def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none(),
-                          max_iters: int = POWER_MAX_ITERS,
-                          tol: float = POWER_TOL):
+def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none()):
     """Alternating rank-1 updates with an entrywise constraint.
 
     Each step replaces one mode's vector by the contraction of ``T`` with
     all the others, divided by their squared norms (the exact one-mode
     least-squares solution), then projects it.  Without a constraint the
     residual is nonincreasing.  Stops when the residual change drops below
-    ``tol`` relative to ``||T||_F`` or after ``max_iters`` sweeps (then a
-    warning is issued and the best iterate returned).
+    ``POWER_TOL`` relative to ``||T||_F`` or after ``POWER_MAX_ITERS``
+    sweeps (then it warns and returns the last iterate).
 
     Returns ``(units, amplitude)`` like :func:`rank1_parallel_extract`; with
     a ``nonneg`` constraint the amplitude is clamped to be nonnegative so
@@ -128,7 +135,7 @@ def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none(),
         vecs.append(apply_projection(u * scale, proj))
     prev = None
     converged = False
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         for k in range(T.ndim):
             others = [vecs[p] for p in range(T.ndim) if p != k]
             denom = np.prod([v @ v for v in others])
@@ -138,13 +145,13 @@ def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none(),
             w = mode_contract(T, others, skip=k) / denom
             vecs[k] = apply_projection(w, proj)
         resid = float(np.linalg.norm((T - _rank1_dense(vecs)).ravel()))
-        if prev is not None and abs(prev - resid) <= tol * normT:
+        if prev is not None and abs(prev - resid) <= POWER_TOL * normT:
             converged = True
             break
         prev = resid
     if not converged:
         warnings.warn("rank-1 iteration hit the sweep cap; returning the "
-                      "best iterate", RuntimeWarning)
+                      "last iterate", RuntimeWarning)
     norms = [float(np.linalg.norm(v)) for v in vecs]
     if 0.0 in norms:
         return [np.zeros(s) for s in T.shape], 0.0
@@ -155,9 +162,8 @@ def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none(),
     return units, amp
 
 
-def kr_project(H, sizes, method: str = "svd",
-               proj: ProjectionKind = ProjectionKind.none(),
-               max_iters: int = POWER_MAX_ITERS, tol: float = POWER_TOL):
+def kr_project(H, sizes, method: str | None = None,
+               proj: ProjectionKind = ProjectionKind.none()):
     """Project merged-factor columns onto exact Kronecker structure.
 
     Parameters
@@ -167,9 +173,10 @@ def kr_project(H, sizes, method: str = "svd",
         an order-P tensor with mode sizes ``sizes``.
     sizes : sequence of int, length P >= 2
         Row sizes of the per-mode factors to recover.
-    method : {"svd", "power"}
+    method : {None, "svd", "power"}
         Per-mode singular vectors, or alternating (optionally constrained)
-        power iterations.
+        power iterations.  ``None`` lets the constraint choose: "power"
+        under a constraint, "svd" without one.
     proj : ProjectionKind
         Constraint for the power method; "svd" takes none and rejects one.
 
@@ -189,6 +196,8 @@ def kr_project(H, sizes, method: str = "svd",
     if H.ndim != 2 or H.shape[0] != int(np.prod(sizes)):
         raise ValueError(f"H has {H.shape} but mode sizes {sizes} imply "
                          f"{int(np.prod(sizes))} rows")
+    if method is None:
+        method = "svd" if proj.kind == "none" else "power"
     if method not in ("svd", "power"):
         raise ValueError(f"unknown KR projection method {method!r}")
     if method == "svd" and proj.kind != "none":
@@ -207,7 +216,7 @@ def kr_project(H, sizes, method: str = "svd",
         if method == "svd":
             units, amp = rank1_parallel_extract(block)
         else:
-            units, amp = rank1_power_iteration(block, proj, max_iters, tol)
+            units, amp = rank1_power_iteration(block, proj)
         for k in range(P - 1):
             factors[k][:, j] = units[k]
         factors[P - 1][:, j] = amp * units[P - 1]

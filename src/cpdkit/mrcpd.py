@@ -39,20 +39,24 @@ class Compression:
 
     ``kind`` is ``svd`` (orthogonal projection onto the leading left
     singular subspace, whitened) or ``fibers`` (keep a random sorted row
-    subset of the matricization, which preserves nonnegativity).  ``mode``
-    indexes the merged tensor; ``None`` means the largest merged mode.
-    ``count`` (fibers only; ``svd`` keeps J directions and rejects a count)
-    defaults to ``max(3 J, 100)`` capped at the mode size.
+    subset of the matricization, which preserves nonnegativity; the rows
+    are drawn from the solver seed, ``MrcpdOptions.solver_opts.seed``).
+    ``mode`` indexes the merged tensor (0, 1 or 2); ``None`` means the
+    largest merged mode.  ``count`` (fibers only; ``svd`` keeps J
+    directions and rejects a count) defaults to ``max(3 J, 100)`` capped at
+    the mode size.
     """
 
     kind: str
     mode: int | None = None
     count: int | None = None
-    seed: object = None
 
     def __post_init__(self):
         if self.kind not in ("svd", "fibers"):
             raise ValueError(f"unknown compression kind {self.kind!r}")
+        if self.mode is not None and not 0 <= self.mode <= 2:
+            raise ValueError(f"compression mode {self.mode} out of range; "
+                             "the merged tensor has modes 0, 1 and 2")
         if self.kind == "svd" and self.count is not None:
             raise ValueError("svd compression keeps J directions and takes "
                              "no count; count is for fibers")
@@ -65,11 +69,12 @@ class MrcpdOptions:
     """Knobs for :func:`mrcpd_decompose`.
 
     ``split=None`` plans the unfolding automatically from J-capped mode
-    ranks (:func:`mode_rank` at its default tolerance).  ``solver_opts``
-    drives every inner solve; its ``init`` must be ``None``, because the
-    inner solver sees the merged third-order tensor, which an order-N
-    starting point does not fit.  ``krproj`` and ``projection`` are passed
-    to :func:`kr_project`; a constraint needs ``krproj="power"``.
+    ranks (:func:`mode_rank`).  ``solver_opts`` drives every inner solve;
+    its ``init`` must be ``None``, because the inner solver sees the merged
+    third-order tensor, which an order-N starting point does not fit; its
+    ``seed`` also draws the sampled fibers.  ``projection`` is passed to
+    :func:`kr_project`, where it picks the fitter: the SVD fit without a
+    constraint, power iterations with one.
     ``compression`` shrinks one merged mode before the inner solve (see
     :func:`compress_mode`).  ``restarts`` reruns the inner solver from
     fresh seeds and keeps the best fit.
@@ -77,17 +82,11 @@ class MrcpdOptions:
 
     split: ModeSplit | None = None
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
-    krproj: str = "svd"
     projection: ProjectionKind = field(default_factory=ProjectionKind.none)
     compression: Compression | None = None
     restarts: int = 1
 
     def __post_init__(self):
-        if self.krproj not in ("svd", "power"):
-            raise ValueError(f"unknown KR projection method {self.krproj!r}")
-        if self.krproj == "svd" and self.projection.kind != "none":
-            raise ValueError(f"the {self.projection.kind} constraint needs "
-                             "krproj='power'; the svd projection drops it")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -302,7 +301,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
         else:
             width = comp.count if comp.count is not None else max(3 * J, 100)
             width = min(width, Y3.shape[m])
-        Y3s = compress_mode(Y3, m, width, comp.kind, comp.seed)
+        Y3s = compress_mode(Y3, m, width, comp.kind, opts.solver_opts.seed)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)
     if Y3s.shape != Y3.shape:
@@ -324,7 +323,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
             factors_by_mode[modes[0]] = G
             continue
         factors, _ = kr_project(G, [T.shape[n] for n in modes],
-                                method=opts.krproj, proj=opts.projection)
+                                proj=opts.projection)
         eps_k += float(np.linalg.norm((G - khatri_rao(factors))
                                       * lam[None, :]))
         factors_by_mode.update(zip(modes, factors))

@@ -18,6 +18,7 @@ from .linalg import left_singular_pairs
 from .tensor import ModeSplit, matricize
 
 KRUSKAL_RANK_MAX_COLS = 12
+RANK_RTOL = 1e-8          # relative singular-value cutoff of every rank test
 
 
 def collinearity(u, v) -> float:
@@ -31,17 +32,16 @@ def collinearity(u, v) -> float:
     return float(abs(u @ v) / (nu * nv))
 
 
-def _subset_rank(M, tol: float) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _rank(s) -> int:
+    """Count of singular values ``s`` (descending) above ``RANK_RTOL``
+    times the largest; all-zero ``s`` counts 0."""
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def kruskal_rank(M, tol: float = 1e-8) -> int:
+def kruskal_rank(M) -> int:
     """Exact Kruskal rank by checking every column subset.
 
-    Subset independence is decided by an SVD with relative cutoff ``tol``.
+    Subset independence is decided by an SVD cut at ``RANK_RTOL``.
     Cost grows as 2^J, so matrices with more than 12 columns are rejected;
     use :func:`mode_rank` (or min(rank, J)) as an estimate instead.
     """
@@ -55,7 +55,7 @@ def kruskal_rank(M, tol: float = 1e-8) -> int:
             f"(got {J}); use mode_rank-based estimates for larger factors")
     for r in range(1, min(J, M.shape[0]) + 1):
         for cols in combinations(range(J), r):
-            if _subset_rank(M[:, cols], tol) < r:
+            if _rank(np.linalg.svd(M[:, cols], compute_uv=False)) < r:
                 return r - 1
     return min(J, M.shape[0])
 
@@ -133,10 +133,10 @@ def check_unfolded_uniqueness(kranks, J: int, split: ModeSplit) -> UniquenessRep
                             satisfied=base.satisfied, group_bounds=bounds)
 
 
-def mode_rank(T, n: int, tol: float = 1e-8) -> int:
+def mode_rank(T, n: int) -> int:
     """Numerical rank of the mode-``n`` matricization.
 
-    Singular values below ``tol`` times the largest are treated as zero.
+    Singular values up to ``RANK_RTOL`` times the largest count as zero.
     The count agrees with a full SVD's; well-conditioned modes get it from
     the Gram matrix (see :func:`~cpdkit.linalg.left_singular_pairs`).
     """
@@ -144,7 +144,6 @@ def mode_rank(T, n: int, tol: float = 1e-8) -> int:
     if M.size == 0:
         return 0
     # Only the singular values matter, so factor the wide orientation.
-    _, s = left_singular_pairs(M if M.shape[0] <= M.shape[1] else M.T, tol)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    _, s = left_singular_pairs(M if M.shape[0] <= M.shape[1] else M.T,
+                               RANK_RTOL)
+    return _rank(s)

@@ -1,6 +1,7 @@
 """Command-line front end, run in-process through main()."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cpdkit.cli import (
     parse_proj,
     parse_split,
 )
-from cpdkit.ktensor import fit, read_ktns, reconstruct, write_ktns
+from cpdkit.ktensor import KTensor, fit, read_ktns, reconstruct, write_ktns
 from cpdkit.linalg import khatri_rao
 from cpdkit.synth import gen_random_ktensor
 from cpdkit.tensor import ModeSplit, write_tnsr
@@ -140,26 +141,91 @@ def test_decompose_fibers_follow_seed(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["decompose", "krproj"])
-def test_constraint_without_power_method_rejected(tmp_path, capsys, command):
-    # the svd projection cannot apply a constraint; --proj nonneg needs
-    # --krproj power (decompose) or --method power (krproj)
+def test_constraint_runs_power_fitter(tmp_path, capsys, command):
+    # a constraint picks the power fitter; no second flag is needed
     rng = np.random.default_rng(209)
     inp = tmp_path / "t.tnsr"
     outp = tmp_path / "est.ktns"
     if command == "decompose":
-        write_tnsr(inp, reconstruct(gen_random_ktensor((4, 3, 4, 3), 2,
-                                                       seed=210)))
+        truth = KTensor([rng.uniform(0.1, 1.0, (s, 2)) for s in (4, 3, 4, 3)])
+        write_tnsr(inp, reconstruct(truth))
         argv = ["decompose", "--input", str(inp), "--rank", "2",
-                "--method", "mrcpd", "--proj", "nonneg",
-                "--output", str(outp)]
+                "--method", "mrcpd", "--split", "1|2|3,4", "--seed", "0",
+                "--proj", "nonneg", "--output", str(outp)]
+    else:
+        write_tnsr(inp, khatri_rao([rng.uniform(0.1, 1.0, (4, 2)),
+                                    rng.uniform(0.1, 1.0, (5, 2))]))
+        argv = ["krproj", "--input", str(inp), "--shape", "4,5",
+                "--proj", "nonneg"]
+    with warnings.catch_warnings():
+        # a merged column whose sign flipped in the solve can collapse to
+        # zero under the constraint; that is the documented behavior
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "decompose":
+        # mode 3 holds the unit directions of the constrained group 3,4
+        assert np.all(read_ktns(outp).factors[2] >= -1e-12)
+    else:
+        assert float(captured.out.split("eps_k=")[1]) < 1e-10
+
+
+@pytest.mark.parametrize("flag, value", [("--split", "1|2|3"),
+                                         ("--compress", "fibers:1:3"),
+                                         ("--proj", "nonneg")])
+def test_decompose_als_rejects_mrcpd_flags(tmp_path, capsys, flag, value):
+    inp = tmp_path / "t.tnsr"
+    outp = tmp_path / "est.ktns"
+    write_tnsr(inp, reconstruct(gen_random_ktensor((5, 4, 3), 2, seed=211)))
+    code = main(["decompose", "--input", str(inp), "--rank", "2",
+                 "--method", "als", flag, value, "--output", str(outp)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not outp.exists()
+
+
+@pytest.mark.parametrize("compress, typed", [("svd:0", "0"),
+                                             ("fibers:0:3", "0"),
+                                             ("svd:4", "4")])
+def test_decompose_compress_mode_out_of_range(tmp_path, capsys, compress,
+                                              typed):
+    inp = tmp_path / "t.tnsr"
+    outp = tmp_path / "est.ktns"
+    write_tnsr(inp, reconstruct(gen_random_ktensor((4, 3, 4, 3), 2,
+                                                   seed=212)))
+    code = main(["decompose", "--input", str(inp), "--rank", "2",
+                 "--method", "mrcpd", "--compress", compress,
+                 "--output", str(outp)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --compress mode {typed} out of range")
+    assert err.count("\n") == 1
+    assert not outp.exists()
+
+
+@pytest.mark.parametrize("proj", ["soft:nan", "soft:inf"])
+@pytest.mark.parametrize("command", ["decompose", "krproj"])
+def test_non_finite_soft_level_rejected(tmp_path, capsys, command, proj):
+    rng = np.random.default_rng(213)
+    inp = tmp_path / "t.tnsr"
+    outp = tmp_path / "est.ktns"
+    if command == "decompose":
+        write_tnsr(inp, reconstruct(gen_random_ktensor((4, 3, 4, 3), 2,
+                                                       seed=214)))
+        argv = ["decompose", "--input", str(inp), "--rank", "2",
+                "--method", "mrcpd", "--proj", proj, "--output", str(outp)]
     else:
         write_tnsr(inp, khatri_rao([rng.standard_normal((4, 2)),
                                     rng.standard_normal((5, 2))]))
         argv = ["krproj", "--input", str(inp), "--shape", "4,5",
-                "--proj", "nonneg"]
+                "--proj", proj]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "power" in captured.err
+    assert captured.err.startswith("error:") and "finite" in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not outp.exists()

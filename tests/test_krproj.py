@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpdkit.krproj import (
     ProjectionKind,
@@ -169,9 +171,60 @@ def test_kr_project_validation():
 def test_kr_project_svd_rejects_constraint():
     H = khatri_rao([np.ones((3, 2)), np.eye(4, 2)])
     with pytest.raises(ValueError, match="power"):
-        kr_project(H, (3, 4), proj=ProjectionKind.nonneg())
+        kr_project(H, (3, 4), method="svd", proj=ProjectionKind.nonneg())
     with pytest.raises(ValueError, match="power"):
         kr_project(H, (3, 4), method="svd", proj=ProjectionKind.soft(0.1))
     factors, _ = kr_project(H, (3, 4), method="power",
                             proj=ProjectionKind.nonneg())
+    assert all(np.all(F >= 0) for F in factors)
+
+
+def test_projection_kind_rejects_unusable_levels():
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ProjectionKind.soft(lam)
+    with pytest.raises(ValueError, match="takes no level"):
+        ProjectionKind("nonneg", 0.5)
+    with pytest.raises(ValueError, match="takes no level"):
+        ProjectionKind("none", 1.0)
+    assert ProjectionKind("soft", 0.0).lam == 0.0
+
+
+def test_kr_project_constraint_picks_fitter():
+    rng = np.random.default_rng(59)
+    H = khatri_rao([rng.uniform(0.1, 1.0, (4, 3)),
+                    rng.uniform(0.1, 1.0, (5, 3))])
+    H += 0.01 * rng.standard_normal(H.shape)
+    for proj, method in ((ProjectionKind.none(), "svd"),
+                         (ProjectionKind.nonneg(), "power"),
+                         (ProjectionKind.soft(1e-4), "power")):
+        got, eps = kr_project(H, (4, 5), proj=proj)
+        want, eps_want = kr_project(H, (4, 5), method=method, proj=proj)
+        assert eps == eps_want
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def exact_kr_input(data, low):
+    P = data.draw(st.integers(2, 3))
+    sizes = data.draw(st.lists(st.integers(2, 6), min_size=P, max_size=P))
+    J = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 30)))
+    mats = [rng.uniform(low, 1.0, (s, J)) for s in sizes]
+    return khatri_rao(mats), sizes
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), method=st.sampled_from([None, "svd", "power"]))
+def test_kr_project_exact_on_khatri_rao_property(data, method):
+    H, sizes = exact_kr_input(data, -1.0)
+    _, eps = kr_project(H, sizes, method=method)
+    assert eps <= 1e-10 * np.linalg.norm(H)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kr_project_nonneg_exact_property(data):
+    H, sizes = exact_kr_input(data, 0.0)
+    factors, eps = kr_project(H, sizes, proj=ProjectionKind.nonneg())
+    assert eps <= 1e-10 * np.linalg.norm(H)
     assert all(np.all(F >= 0) for F in factors)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdkit import mrcpd
+from cpdkit import als, mrcpd
 from cpdkit.als import SolverOptions
 from cpdkit.krproj import ProjectionKind
 from cpdkit.ktensor import KTensor, fit, normalize, reconstruct
@@ -344,7 +344,7 @@ def test_decompose_with_fiber_compression():
     truth = gen_random_ktensor((6, 6, 6, 6), 2, seed=86)
     T = reconstruct(truth)
     est, _, bound = mrcpd_decompose(
-        T, 2, MrcpdOptions(compression=Compression("fibers", count=20, seed=0),
+        T, 2, MrcpdOptions(compression=Compression("fibers", count=20),
                            solver_opts=solver_opts(4), restarts=4))
     assert bound.holds
     assert fit(T, reconstruct(est)) > 1 - 1e-6
@@ -380,7 +380,7 @@ def test_decompose_nonneg_projection():
         warnings.simplefilter("ignore", RuntimeWarning)
         est, _, bound = mrcpd_decompose(
             T, 2,
-            MrcpdOptions(krproj="power", projection=ProjectionKind.nonneg(),
+            MrcpdOptions(projection=ProjectionKind.nonneg(),
                          solver_opts=solver_opts(7), restarts=4))
     assert bound.holds
     # modes 2 and 3 come out of the constrained projection; mode 2 holds the
@@ -431,7 +431,7 @@ def test_pipeline_properties(kind, data):
     elif kind == "fibers":
         # sample fewer rows than the largest merged mode has
         largest = max(split.group_sizes(shape))
-        comp = Compression("fibers", seed=seed,
+        comp = Compression("fibers",
                            count=data.draw(st.integers(1, largest - 1)))
     truth = gen_random_ktensor(shape, R, seed=seed)
     T = reconstruct(truth)
@@ -458,15 +458,42 @@ def test_pipeline_properties(kind, data):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError, match="krproj='power'"):
-        MrcpdOptions(projection=ProjectionKind.nonneg())
     with pytest.raises(ValueError, match="no count"):
         Compression("svd", count=5)
-    with pytest.raises(ValueError):
-        MrcpdOptions(krproj="qr")
     with pytest.raises(ValueError):
         MrcpdOptions(restarts=0)
     with pytest.raises(ValueError):
         Compression("lossy")
     with pytest.raises(ValueError):
         Compression("fibers", count=0)
+
+
+@pytest.mark.parametrize("mode", [-1, 3])
+def test_compression_mode_out_of_range(mode):
+    with pytest.raises(ValueError, match=f"compression mode {mode} out of "
+                                         "range"):
+        Compression("svd", mode=mode)
+    assert Compression("fibers", mode=2).mode == 2
+
+
+def test_fibers_follow_solver_seed():
+    # the inner solver sees exactly the rows compress_mode samples at the
+    # solver seed
+    T = reconstruct(gen_random_ktensor((5, 4, 6, 3), 2, seed=93))
+    split = ModeSplit((0, 1, 2, 3), (0, 1, 2, 4))
+    seen = []
+    als_solver = als.get_solver("als")
+
+    def spy(Y3, J, opts):
+        seen.append(Y3)
+        return als_solver(Y3, J, opts)
+
+    als.register_solver("als", spy)
+    try:
+        mrcpd_decompose(T, 2, MrcpdOptions(
+            split=split, compression=Compression("fibers", mode=2, count=7),
+            solver_opts=solver_opts(11, max_iters=5)))
+    finally:
+        als.register_solver("als", als_solver)
+    want = compress_mode(reduce_modes(T, split), 2, 7, "fibers", seed=11)
+    assert np.array_equal(seen[0], want)

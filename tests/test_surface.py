@@ -1,11 +1,15 @@
 """The public surface: what ``cpdkit`` exports and which knobs the
-mode-reduction pipeline takes.  Adding or removing either changes this
-test on purpose."""
+mode-reduction pipeline, the Khatri-Rao fitters, the rank tests and the
+CLI take.  Adding or removing any of them changes this test on purpose."""
 
 import dataclasses
+import inspect
 
 import cpdkit
-from cpdkit.mrcpd import MrcpdOptions
+from cpdkit.cli import build_parser
+from cpdkit.krproj import kr_project, rank1_power_iteration
+from cpdkit.mrcpd import Compression, MrcpdOptions
+from cpdkit.uniqueness import kruskal_rank, mode_rank
 
 
 def test_every_exported_name_resolves():
@@ -15,5 +19,35 @@ def test_every_exported_name_resolves():
 
 def test_mrcpd_options_fields():
     assert [f.name for f in dataclasses.fields(MrcpdOptions)] == [
-        "split", "solver_opts", "krproj", "projection", "compression",
-        "restarts"]
+        "split", "solver_opts", "projection", "compression", "restarts"]
+
+
+def test_compression_fields():
+    assert [f.name for f in dataclasses.fields(Compression)] == [
+        "kind", "mode", "count"]
+
+
+def test_kernel_parameters():
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(kr_project) == ["H", "sizes", "method", "proj"]
+    assert params(rank1_power_iteration) == ["T", "proj"]
+    assert params(mode_rank) == ["T", "n"]
+    assert params(kruskal_rank) == ["M"]
+
+
+def test_cli_options():
+    commands = next(a for a in build_parser()._actions
+                    if a.dest == "command").choices
+
+    def options(name):
+        return sorted(s for a in commands[name]._actions
+                      for s in a.option_strings)
+
+    assert options("decompose") == sorted([
+        "--input", "--rank", "--method", "--split", "--solver-tol",
+        "--max-iters", "--seed", "--compress", "--proj", "--init",
+        "--output", "-h", "--help"])
+    assert options("krproj") == sorted([
+        "--input", "--shape", "--proj", "-h", "--help"])

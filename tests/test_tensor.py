@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpdkit.tensor import (
     ModeSplit,
@@ -244,3 +246,30 @@ def test_tnsr_rejects_short_header(tmp_path):
     p.write_bytes(TNSR_MAGIC + struct.pack("<BI", 1, 2 ** 32 - 1))
     with pytest.raises(ValueError, match="mode sizes"):
         read_tnsr(p)
+
+
+def random_tensor(data, min_order, max_order):
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=min_order,
+                               max_size=max_order))
+    seed = data.draw(st.integers(0, 2 ** 30))
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tensorize_inverts_matricize_property(data):
+    T = random_tensor(data, 1, 5)
+    n = data.draw(st.integers(0, T.ndim - 1))
+    assert np.array_equal(tensorize(matricize(T, n), T.shape, n), T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_reduce_modes_is_a_transpose_property(data):
+    T = random_tensor(data, 2, 5)
+    N = T.ndim
+    perm = data.draw(st.permutations(range(N)))
+    inner = data.draw(st.sets(st.integers(1, N - 1), min_size=1))
+    split = ModeSplit(perm, (0, *sorted(inner), N))
+    assert np.array_equal(vectorize(reduce_modes(T, split)),
+                          vectorize(np.transpose(T, split.perm)))
