@@ -16,7 +16,7 @@ import numpy as np
 
 from .als import SolverOptions, cp_als
 from .bench import run_benchmark, sim1_config, sim2_config, summarize
-from .krproj import ProjectionKind, kr_project
+from .krproj import kr_project
 from .ktensor import KTNS_MAGIC, read_ktns, write_ktns
 from .mrcpd import Compression, MrcpdOptions, mrcpd_decompose, plan_unfolding
 from .tensor import ModeSplit, TNSR_MAGIC, read_tnsr
@@ -47,6 +47,13 @@ def format_split(split: ModeSplit) -> str:
     return "|".join(",".join(str(m + 1) for m in g) for g in split.group_modes())
 
 
+def _parse_int(flag: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag}: {token!r} is not an integer") from None
+
+
 def parse_compress(text: str) -> Compression | None:
     """Parse ``--compress``; MODE is a 1-based merged mode (1..3).  The
     sampled fibers follow the solver seed."""
@@ -54,32 +61,22 @@ def parse_compress(text: str) -> Compression | None:
         return None
     parts = text.split(":")
     if (parts[0], len(parts)) in (("svd", 2), ("fibers", 3)):
-        mode = int(parts[1])
+        mode = _parse_int("--compress", parts[1])
         if not 1 <= mode <= 3:
             raise ValueError(f"--compress mode {parts[1]} out of range; the "
                              "merged tensor has modes 1, 2 and 3")
-        count = int(parts[2]) if parts[0] == "fibers" else None
+        count = (_parse_int("--compress", parts[2]) if parts[0] == "fibers"
+                 else None)
         return Compression(parts[0], mode=mode - 1, count=count)
     raise ValueError(f"bad --compress value {text!r}; expected none, "
                      "svd:MODE or fibers:MODE:COUNT")
-
-
-def parse_proj(text: str) -> ProjectionKind:
-    if text == "none":
-        return ProjectionKind.none()
-    if text == "nonneg":
-        return ProjectionKind.nonneg()
-    if text.startswith("soft:"):
-        return ProjectionKind.soft(float(text.split(":", 1)[1]))
-    raise ValueError(f"bad --proj value {text!r}; expected none, nonneg or "
-                     "soft:LAMBDA")
 
 
 def _cmd_decompose(args) -> int:
     if args.method == "als":
         for flag, value, default in (("--split", args.split, None),
                                      ("--compress", args.compress, "none"),
-                                     ("--proj", args.proj, "none")):
+                                     ("--nonneg", args.nonneg, False)):
             if value != default:
                 raise ValueError(f"{flag} is for --method mrcpd; "
                                  "--method als does not use it")
@@ -96,7 +93,7 @@ def _cmd_decompose(args) -> int:
         opts = MrcpdOptions(
             split=parse_split(args.split) if args.split else None,
             solver_opts=sopts,
-            projection=parse_proj(args.proj),
+            nonneg=args.nonneg,
             compression=parse_compress(args.compress))
         kt, rep, bound = mrcpd_decompose(T, args.rank, opts)
         norm_t = float(np.linalg.norm(T.ravel()))
@@ -188,8 +185,9 @@ def _cmd_krproj(args) -> int:
     if H.ndim != 2:
         raise ValueError(f"expected an order-2 tensor (a matrix), got order "
                          f"{H.ndim}")
-    sizes = [int(tok) for tok in args.shape.split(",") if tok.strip()]
-    factors, eps = kr_project(H, sizes, proj=parse_proj(args.proj))
+    sizes = [_parse_int("--shape", tok) for tok in args.shape.split(",")
+             if tok.strip()]
+    factors, eps = kr_project(H, sizes, nonneg=args.nonneg)
     print(f"eps_k={eps!r}")
     return 0
 
@@ -211,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--compress", default="none",
                    help="none | svd:MODE | fibers:MODE:COUNT, MODE 1..3 "
                         "(mrcpd only)")
-    d.add_argument("--proj", default="none",
-                   help="none | nonneg | soft:LAMBDA (mrcpd only; a "
-                        "constraint runs the power fitter)")
+    d.add_argument("--nonneg", action="store_true",
+                   help="nonnegative KR projection (mrcpd only; runs the "
+                        "power fitter)")
     d.add_argument("--init", default=None,
                    help="initial factors file (als only)")
     d.add_argument("--output", required=True)
@@ -237,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--input", required=True,
                    help="order-2 tensor file holding the merged factor")
     k.add_argument("--shape", required=True, help='mode sizes, e.g. "4,5"')
-    k.add_argument("--proj", default="none",
-                   help="none | nonneg | soft:LAMBDA (a constraint runs the "
-                        "power fitter)")
+    k.add_argument("--nonneg", action="store_true",
+                   help="nonnegative projection (runs the power fitter)")
     k.set_defaults(func=_cmd_krproj)
     return p
 

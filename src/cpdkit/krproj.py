@@ -5,15 +5,13 @@ per-mode columns.  Projecting back means fitting, for every column, the
 nearest rank-1 tensor after reshaping the column into the group's mode
 sizes (canonical order).  Two fitters are available: independent dominant
 singular vectors per mode unfolding, and alternating power iterations that
-can enforce simple constraints after every update.  The constraint picks
-the fitter: none takes the closed-form SVD fit, any other the power one.
+can clamp negative entries to zero after every update.  Nonnegativity picks
+the fitter: without it the closed-form SVD fit, with it the power one.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,53 +20,6 @@ from .tensor import matricize, mode_contract, tensor_from_vec
 
 POWER_MAX_ITERS = 200
 POWER_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProjectionKind:
-    """Entrywise constraint applied during power iterations.
-
-    ``kind`` is one of ``none`` (identity), ``nonneg`` (clamp negatives to
-    zero) or ``soft`` (soft-thresholding with level ``lam``).  ``lam`` must
-    be finite and nonnegative, and nonzero only for ``soft``.
-    """
-
-    kind: str = "none"
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "nonneg", "soft"):
-            raise ValueError(f"unknown projection kind {self.kind!r}")
-        if not math.isfinite(self.lam):
-            raise ValueError(f"soft-threshold level must be finite, got "
-                             f"{self.lam}")
-        if self.lam < 0:
-            raise ValueError("soft-threshold level must be nonnegative")
-        if self.lam != 0 and self.kind != "soft":
-            raise ValueError(f"the {self.kind} projection takes no level; "
-                             f"got lam={self.lam}")
-
-    @classmethod
-    def none(cls) -> "ProjectionKind":
-        return cls("none")
-
-    @classmethod
-    def nonneg(cls) -> "ProjectionKind":
-        return cls("nonneg")
-
-    @classmethod
-    def soft(cls, lam: float) -> "ProjectionKind":
-        return cls("soft", float(lam))
-
-
-def apply_projection(x, proj: ProjectionKind) -> np.ndarray:
-    """Apply an entrywise projection to an array."""
-    x = np.asarray(x, dtype=np.float64)
-    if proj.kind == "none":
-        return x.copy()
-    if proj.kind == "nonneg":
-        return np.maximum(x, 0.0)
-    return np.sign(x) * np.maximum(np.abs(x) - proj.lam, 0.0)
 
 
 def _rank1_assemble(T, units):
@@ -104,19 +55,20 @@ def _rank1_dense(vectors):
     return out
 
 
-def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none()):
-    """Alternating rank-1 updates with an entrywise constraint.
+def rank1_power_iteration(T, nonneg: bool = False):
+    """Alternating rank-1 updates, optionally nonnegative.
 
     Each step replaces one mode's vector by the contraction of ``T`` with
     all the others, divided by their squared norms (the exact one-mode
-    least-squares solution), then projects it.  Without a constraint the
-    residual is nonincreasing.  Stops when the residual change drops below
-    ``POWER_TOL`` relative to ``||T||_F`` or after ``POWER_MAX_ITERS``
-    sweeps (then it warns and returns the last iterate).
+    least-squares solution), and under ``nonneg`` clamps its negative
+    entries to zero.  Without ``nonneg`` the residual is nonincreasing.
+    Stops when the residual change drops below ``POWER_TOL`` relative to
+    ``||T||_F`` or after ``POWER_MAX_ITERS`` sweeps (then it warns and
+    returns the last iterate).
 
-    Returns ``(units, amplitude)`` like :func:`rank1_parallel_extract`; with
-    a ``nonneg`` constraint the amplitude is clamped to be nonnegative so
-    the scaled last vector stays in the constraint set.
+    Returns ``(units, amplitude)`` like :func:`rank1_parallel_extract`;
+    under ``nonneg`` the amplitude is clamped to be nonnegative so the
+    scaled last vector stays nonnegative too.
     """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2:
@@ -124,7 +76,7 @@ def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none()):
     normT = float(np.linalg.norm(T.ravel()))
     if normT == 0:
         return [np.zeros(s) for s in T.shape], 0.0
-    # Singular-vector start; oriented positively so nonneg projections keep
+    # Singular-vector start; oriented positively so the nonneg clamp keeps
     # mass instead of zeroing the whole vector.
     units, amp = rank1_parallel_extract(T)
     scale = (abs(amp) if amp != 0 else normT) ** (1.0 / T.ndim)
@@ -132,7 +84,7 @@ def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none()):
     for u in units:
         if u.sum() < 0:
             u = -u
-        vecs.append(apply_projection(u * scale, proj))
+        vecs.append(np.maximum(u * scale, 0.0) if nonneg else u * scale)
     prev = None
     converged = False
     for _ in range(POWER_MAX_ITERS):
@@ -143,7 +95,7 @@ def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none()):
                 warnings.warn("rank-1 iteration collapsed to zero", RuntimeWarning)
                 return [np.zeros(s) for s in T.shape], 0.0
             w = mode_contract(T, others, skip=k) / denom
-            vecs[k] = apply_projection(w, proj)
+            vecs[k] = np.maximum(w, 0.0) if nonneg else w
         resid = float(np.linalg.norm((T - _rank1_dense(vecs)).ravel()))
         if prev is not None and abs(prev - resid) <= POWER_TOL * normT:
             converged = True
@@ -157,13 +109,12 @@ def rank1_power_iteration(T, proj: ProjectionKind = ProjectionKind.none()):
         return [np.zeros(s) for s in T.shape], 0.0
     units = [v / n for v, n in zip(vecs, norms)]
     amp = _rank1_assemble(T, units)
-    if proj.kind == "nonneg" and amp < 0:
+    if nonneg and amp < 0:
         amp = 0.0
     return units, amp
 
 
-def kr_project(H, sizes, method: str | None = None,
-               proj: ProjectionKind = ProjectionKind.none()):
+def kr_project(H, sizes, method: str | None = None, nonneg: bool = False):
     """Project merged-factor columns onto exact Kronecker structure.
 
     Parameters
@@ -174,11 +125,12 @@ def kr_project(H, sizes, method: str | None = None,
     sizes : sequence of int, length P >= 2
         Row sizes of the per-mode factors to recover.
     method : {None, "svd", "power"}
-        Per-mode singular vectors, or alternating (optionally constrained)
-        power iterations.  ``None`` lets the constraint choose: "power"
-        under a constraint, "svd" without one.
-    proj : ProjectionKind
-        Constraint for the power method; "svd" takes none and rejects one.
+        Per-mode singular vectors, or alternating (optionally nonnegative)
+        power iterations.  ``None`` lets ``nonneg`` choose: "power" with
+        it, "svd" without it.
+    nonneg : bool
+        Keep every factor entry nonnegative; needs the power method, so
+        ``method="svd"`` rejects it.
 
     Returns
     -------
@@ -193,16 +145,18 @@ def kr_project(H, sizes, method: str | None = None,
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2:
         raise ValueError("need at least two mode sizes to split a column")
+    if min(sizes) < 1:
+        raise ValueError(f"mode sizes must be >= 1, got {sizes}")
     if H.ndim != 2 or H.shape[0] != int(np.prod(sizes)):
         raise ValueError(f"H has {H.shape} but mode sizes {sizes} imply "
                          f"{int(np.prod(sizes))} rows")
     if method is None:
-        method = "svd" if proj.kind == "none" else "power"
+        method = "power" if nonneg else "svd"
     if method not in ("svd", "power"):
         raise ValueError(f"unknown KR projection method {method!r}")
-    if method == "svd" and proj.kind != "none":
-        raise ValueError(f"the {proj.kind} constraint needs method 'power'; "
-                         "the svd projection drops it")
+    if method == "svd" and nonneg:
+        raise ValueError("the nonneg constraint needs method 'power'; the "
+                         "svd projection drops it")
     J = H.shape[1]
     P = len(sizes)
     factors = [np.zeros((s, J)) for s in sizes]
@@ -216,7 +170,7 @@ def kr_project(H, sizes, method: str | None = None,
         if method == "svd":
             units, amp = rank1_parallel_extract(block)
         else:
-            units, amp = rank1_power_iteration(block, proj)
+            units, amp = rank1_power_iteration(block, nonneg)
         for k in range(P - 1):
             factors[k][:, j] = units[k]
         factors[P - 1][:, j] = amp * units[P - 1]

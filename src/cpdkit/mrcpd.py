@@ -23,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from .als import SolverOptions, get_solver
-from .krproj import ProjectionKind, kr_project
+from .krproj import kr_project
 from .ktensor import KTensor, normalize, reconstruct
 from .linalg import (_column_signs, khatri_rao, left_singular_pairs, ls_solve,
                      pinv_cutoff)
@@ -72,9 +72,9 @@ class MrcpdOptions:
     ranks (:func:`mode_rank`).  ``solver_opts`` drives every inner solve;
     its ``init`` must be ``None``, because the inner solver sees the merged
     third-order tensor, which an order-N starting point does not fit; its
-    ``seed`` also draws the sampled fibers.  ``projection`` is passed to
-    :func:`kr_project`, where it picks the fitter: the SVD fit without a
-    constraint, power iterations with one.
+    ``seed`` also draws the sampled fibers.  ``nonneg`` is passed to
+    :func:`kr_project`, where it picks the fitter: the SVD fit without it,
+    nonnegative power iterations with it.
     ``compression`` shrinks one merged mode before the inner solve (see
     :func:`compress_mode`).  ``restarts`` reruns the inner solver from
     fresh seeds and keeps the best fit.
@@ -82,7 +82,7 @@ class MrcpdOptions:
 
     split: ModeSplit | None = None
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
-    projection: ProjectionKind = field(default_factory=ProjectionKind.none)
+    nonneg: bool = False
     compression: Compression | None = None
     restarts: int = 1
 
@@ -323,7 +323,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
             factors_by_mode[modes[0]] = G
             continue
         factors, _ = kr_project(G, [T.shape[n] for n in modes],
-                                proj=opts.projection)
+                                nonneg=opts.nonneg)
         eps_k += float(np.linalg.norm((G - khatri_rao(factors))
                                       * lam[None, :]))
         factors_by_mode.update(zip(modes, factors))

@@ -139,22 +139,13 @@ def tensorize(M, shape, n: int) -> np.ndarray:
     return np.moveaxis(M.reshape((shape[n],) + rest, order="F"), 0, n)
 
 
-def transpose_modes(T, perm) -> np.ndarray:
-    """Reorder tensor modes so output mode ``k`` is input mode ``perm[k]``."""
-    T = _as_tensor(T)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(T.ndim)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{T.ndim - 1}")
-    return np.transpose(T, perm)
-
-
 def reduce_modes(T, split: ModeSplit) -> np.ndarray:
     """Lower the tensor order by merging groups of modes.
 
     Permutes modes by ``split.perm`` and then reinterprets each index group as
     a single merged index.  Entries are untouched: the canonical vectorization
     of the result equals that of the permuted tensor, so a split with
-    singleton groups is exactly ``transpose_modes``.
+    singleton groups is exactly ``np.transpose(T, split.perm)``.
     """
     T = _as_tensor(T)
     if len(split.perm) != T.ndim:

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdkit.krproj import (
-    ProjectionKind,
-    apply_projection,
     kr_project,
     rank1_parallel_extract,
     rank1_power_iteration,
@@ -21,24 +19,6 @@ def outer(vectors):
     for v in vectors[1:]:
         out = np.multiply.outer(out, v)
     return out
-
-
-def test_projection_kind_validation():
-    with pytest.raises(ValueError):
-        ProjectionKind("clip")
-    with pytest.raises(ValueError):
-        ProjectionKind("soft", -0.1)
-    assert ProjectionKind.none().kind == "none"
-    assert ProjectionKind.soft(0.5).lam == 0.5
-
-
-def test_apply_projection_values():
-    x = np.array([-2.0, -0.3, 0.0, 0.4, 1.5])
-    assert np.array_equal(apply_projection(x, ProjectionKind.none()), x)
-    assert np.array_equal(apply_projection(x, ProjectionKind.nonneg()),
-                          [0.0, 0.0, 0.0, 0.4, 1.5])
-    assert np.allclose(apply_projection(x, ProjectionKind.soft(0.5)),
-                       [-1.5, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_parallel_extract_exact_rank1():
@@ -85,7 +65,7 @@ def test_power_iteration_nonneg_constraint():
     rng = np.random.default_rng(54)
     vecs = [rng.uniform(0.1, 1.0, s) for s in (4, 5)]
     T = outer(vecs)
-    units, amp = rank1_power_iteration(T, ProjectionKind.nonneg())
+    units, amp = rank1_power_iteration(T, nonneg=True)
     assert amp >= 0
     for u in units:
         assert np.all(u >= 0)
@@ -171,23 +151,9 @@ def test_kr_project_validation():
 def test_kr_project_svd_rejects_constraint():
     H = khatri_rao([np.ones((3, 2)), np.eye(4, 2)])
     with pytest.raises(ValueError, match="power"):
-        kr_project(H, (3, 4), method="svd", proj=ProjectionKind.nonneg())
-    with pytest.raises(ValueError, match="power"):
-        kr_project(H, (3, 4), method="svd", proj=ProjectionKind.soft(0.1))
-    factors, _ = kr_project(H, (3, 4), method="power",
-                            proj=ProjectionKind.nonneg())
+        kr_project(H, (3, 4), method="svd", nonneg=True)
+    factors, _ = kr_project(H, (3, 4), method="power", nonneg=True)
     assert all(np.all(F >= 0) for F in factors)
-
-
-def test_projection_kind_rejects_unusable_levels():
-    for lam in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            ProjectionKind.soft(lam)
-    with pytest.raises(ValueError, match="takes no level"):
-        ProjectionKind("nonneg", 0.5)
-    with pytest.raises(ValueError, match="takes no level"):
-        ProjectionKind("none", 1.0)
-    assert ProjectionKind("soft", 0.0).lam == 0.0
 
 
 def test_kr_project_constraint_picks_fitter():
@@ -195,11 +161,9 @@ def test_kr_project_constraint_picks_fitter():
     H = khatri_rao([rng.uniform(0.1, 1.0, (4, 3)),
                     rng.uniform(0.1, 1.0, (5, 3))])
     H += 0.01 * rng.standard_normal(H.shape)
-    for proj, method in ((ProjectionKind.none(), "svd"),
-                         (ProjectionKind.nonneg(), "power"),
-                         (ProjectionKind.soft(1e-4), "power")):
-        got, eps = kr_project(H, (4, 5), proj=proj)
-        want, eps_want = kr_project(H, (4, 5), method=method, proj=proj)
+    for nonneg, method in ((False, "svd"), (True, "power")):
+        got, eps = kr_project(H, (4, 5), nonneg=nonneg)
+        want, eps_want = kr_project(H, (4, 5), method=method, nonneg=nonneg)
         assert eps == eps_want
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -225,6 +189,6 @@ def test_kr_project_exact_on_khatri_rao_property(data, method):
 @given(data=st.data())
 def test_kr_project_nonneg_exact_property(data):
     H, sizes = exact_kr_input(data, 0.0)
-    factors, eps = kr_project(H, sizes, proj=ProjectionKind.nonneg())
+    factors, eps = kr_project(H, sizes, nonneg=True)
     assert eps <= 1e-10 * np.linalg.norm(H)
     assert all(np.all(F >= 0) for F in factors)

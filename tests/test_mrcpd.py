@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cpdkit import als, mrcpd
 from cpdkit.als import SolverOptions
-from cpdkit.krproj import ProjectionKind
 from cpdkit.ktensor import KTensor, fit, normalize, reconstruct
 from cpdkit.linalg import (_column_signs, khatri_rao, left_singular_pairs,
                            pinv_cutoff)
@@ -380,8 +379,8 @@ def test_decompose_nonneg_projection():
         warnings.simplefilter("ignore", RuntimeWarning)
         est, _, bound = mrcpd_decompose(
             T, 2,
-            MrcpdOptions(projection=ProjectionKind.nonneg(),
-                         solver_opts=solver_opts(7), restarts=4))
+            MrcpdOptions(nonneg=True, solver_opts=solver_opts(7),
+                         restarts=4))
     assert bound.holds
     # modes 2 and 3 come out of the constrained projection; mode 2 holds the
     # unit directions, so it must respect the constraint regardless of the

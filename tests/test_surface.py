@@ -17,9 +17,28 @@ def test_every_exported_name_resolves():
         assert hasattr(cpdkit, name), name
 
 
+def test_exported_names():
+    assert sorted(cpdkit.__all__) == [
+        "BenchConfig", "BoundReport", "Compression", "KTensor", "MatchResult",
+        "ModeSplit", "MrcpdOptions", "RunRecord", "SolveReport",
+        "SolverOptions", "UniquenessReport", "add_noise",
+        "check_unfolded_uniqueness", "collinearity", "compress_mode",
+        "cp_als", "fit", "frobenius_norm", "gcr", "gen_bottleneck_ktensor",
+        "gen_random_ktensor", "get_solver", "hadamard", "khatri_rao",
+        "kr_project", "krank_product_bound", "kruskal_rank", "ksb_check",
+        "ls_solve", "match_factors", "matricize", "mode_contract",
+        "mode_rank", "mrcpd_decompose", "msir", "normalize",
+        "plan_unfolding", "rank1_parallel_extract", "rank1_power_iteration",
+        "read_ktns", "read_tnsr", "reconstruct", "reconstruct_matricized",
+        "recover_merged_factor", "reduce_modes", "register_solver",
+        "run_benchmark", "sim1_config", "sim2_config", "summarize",
+        "tensor_from_vec", "tensorize", "vectorize", "verify_error_bound",
+        "write_csv", "write_ktns", "write_tnsr"]
+
+
 def test_mrcpd_options_fields():
     assert [f.name for f in dataclasses.fields(MrcpdOptions)] == [
-        "split", "solver_opts", "projection", "compression", "restarts"]
+        "split", "solver_opts", "nonneg", "compression", "restarts"]
 
 
 def test_compression_fields():
@@ -31,8 +50,8 @@ def test_kernel_parameters():
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert params(kr_project) == ["H", "sizes", "method", "proj"]
-    assert params(rank1_power_iteration) == ["T", "proj"]
+    assert params(kr_project) == ["H", "sizes", "method", "nonneg"]
+    assert params(rank1_power_iteration) == ["T", "nonneg"]
     assert params(mode_rank) == ["T", "n"]
     assert params(kruskal_rank) == ["M"]
 
@@ -47,7 +66,7 @@ def test_cli_options():
 
     assert options("decompose") == sorted([
         "--input", "--rank", "--method", "--split", "--solver-tol",
-        "--max-iters", "--seed", "--compress", "--proj", "--init",
+        "--max-iters", "--seed", "--compress", "--nonneg", "--init",
         "--output", "-h", "--help"])
     assert options("krproj") == sorted([
-        "--input", "--shape", "--proj", "-h", "--help"])
+        "--input", "--shape", "--nonneg", "-h", "--help"])

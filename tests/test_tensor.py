@@ -18,7 +18,6 @@ from cpdkit.tensor import (
     reduce_modes,
     tensor_from_vec,
     tensorize,
-    transpose_modes,
     vectorize,
     write_tnsr,
 )
@@ -110,16 +109,6 @@ def test_mode_split_groups_and_sizes():
     assert split.group_sizes((2, 3, 4, 5, 6)) == (2, 12, 30)
 
 
-def test_transpose_modes():
-    rng = np.random.default_rng(0)
-    T = rng.standard_normal((2, 3, 4))
-    P = transpose_modes(T, (2, 0, 1))
-    assert P.shape == (4, 2, 3)
-    assert np.array_equal(P, np.transpose(T, (2, 0, 1)))
-    with pytest.raises(ValueError):
-        transpose_modes(T, (0, 1))
-
-
 def test_reduce_modes_preserves_entries():
     rng = np.random.default_rng(3)
     T = rng.standard_normal((3, 4, 2, 5, 2))
@@ -135,7 +124,7 @@ def test_reduce_modes_singleton_groups_is_transpose():
     rng = np.random.default_rng(4)
     T = rng.standard_normal((2, 3, 4))
     split = ModeSplit((2, 0, 1), (0, 1, 2, 3))
-    assert np.array_equal(reduce_modes(T, split), transpose_modes(T, (2, 0, 1)))
+    assert np.array_equal(reduce_modes(T, split), np.transpose(T, (2, 0, 1)))
 
 
 def test_reduce_modes_merged_index_layout():
