@@ -54,28 +54,10 @@ def _parse_int(flag: str, token: str) -> int:
         raise ValueError(f"{flag}: {token!r} is not an integer") from None
 
 
-def parse_compress(text: str) -> Compression | None:
-    """Parse ``--compress``; MODE is a 1-based merged mode (1..3).  The
-    sampled fibers follow the solver seed."""
-    if text == "none":
-        return None
-    parts = text.split(":")
-    if (parts[0], len(parts)) in (("svd", 2), ("fibers", 3)):
-        mode = _parse_int("--compress", parts[1])
-        if not 1 <= mode <= 3:
-            raise ValueError(f"--compress mode {parts[1]} out of range; the "
-                             "merged tensor has modes 1, 2 and 3")
-        count = (_parse_int("--compress", parts[2]) if parts[0] == "fibers"
-                 else None)
-        return Compression(parts[0], mode=mode - 1, count=count)
-    raise ValueError(f"bad --compress value {text!r}; expected none, "
-                     "svd:MODE or fibers:MODE:COUNT")
-
-
 def _cmd_decompose(args) -> int:
     if args.method == "als":
         for flag, value, default in (("--split", args.split, None),
-                                     ("--compress", args.compress, "none"),
+                                     ("--compress", args.compress, False),
                                      ("--nonneg", args.nonneg, False)):
             if value != default:
                 raise ValueError(f"{flag} is for --method mrcpd; "
@@ -94,7 +76,7 @@ def _cmd_decompose(args) -> int:
             split=parse_split(args.split) if args.split else None,
             solver_opts=sopts,
             nonneg=args.nonneg,
-            compression=parse_compress(args.compress))
+            compression=Compression("svd") if args.compress else None)
         kt, rep, bound = mrcpd_decompose(T, args.rank, opts)
         norm_t = float(np.linalg.norm(T.ravel()))
         print(f"method=mrcpd fit={float(1.0 - bound.final_err / norm_t)!r} "
@@ -148,8 +130,7 @@ def _analyze_ktensor(kt, rank) -> int:
         kranks = [kruskal_rank(A) for A in kt.factors]
         print(f"factor kruskal ranks: {kranks}")
     else:
-        kranks = [max(1, min(int(np.linalg.matrix_rank(A)), J))
-                  for A in kt.factors]
+        kranks = [max(1, min(mode_rank(A, 0), J)) for A in kt.factors]
         print(f"factor krank estimates (rank-based, {J} columns is too many "
               f"for the exact test): {kranks}")
     _report_uniqueness(kranks, J, kt.order)
@@ -206,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--solver-tol", type=float, default=1e-8)
     d.add_argument("--max-iters", type=int, default=100)
     d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--compress", default="none",
-                   help="none | svd:MODE | fibers:MODE:COUNT, MODE 1..3 "
-                        "(mrcpd only)")
+    d.add_argument("--compress", action="store_true",
+                   help="shrink the largest merged mode to RANK whitened "
+                        "SVD directions before the inner solve (mrcpd only)")
     d.add_argument("--nonneg", action="store_true",
                    help="nonnegative KR projection (mrcpd only; runs the "
                         "power fitter)")

@@ -1,11 +1,12 @@
 """CP decomposition of high-order tensors through a third-order detour.
 
 The pipeline is one path: pick (or accept) a three-group mode split, merge
-the grouped modes, optionally shrink one merged mode, run the solver
-registered as ``"als"`` on the third-order tensor (keeping the best of
-several restarts), re-estimate the compressed mode's factor by least squares
-against the uncompressed merged tensor, and split every merged factor back
-into per-mode factors by columnwise rank-1 projection.
+the grouped modes, optionally shrink the largest merged mode to J whitened
+SVD directions, run the solver registered as ``"als"`` on the third-order
+tensor (keeping the best of several restarts), re-estimate the compressed
+mode's factor by least squares against the uncompressed merged tensor, and
+split every merged factor back into per-mode factors by columnwise rank-1
+projection.
 The final factors come with a certified error bound: writing ``e3`` for the
 third-order residual and ``eps_K`` for the (weighted) projection residual,
 
@@ -35,33 +36,21 @@ BOUND_SLACK_REL = 1e-9
 
 @dataclass(frozen=True)
 class Compression:
-    """How to shrink a merged mode before the third-order solve.
+    """Compression of the merged tensor before the third-order solve.
 
-    ``kind`` is ``svd`` (orthogonal projection onto the leading left
-    singular subspace, whitened) or ``fibers`` (keep a random sorted row
-    subset of the matricization, which preserves nonnegativity; the rows
-    are drawn from the solver seed, ``MrcpdOptions.solver_opts.seed``).
-    ``mode`` indexes the merged tensor (0, 1 or 2); ``None`` means the
-    largest merged mode.  ``count`` (fibers only; ``svd`` keeps J
-    directions and rejects a count) defaults to ``max(3 J, 100)`` capped at
-    the mode size.
+    There is one kind, ``"svd"``: the largest merged mode is projected onto
+    its J leading left singular directions and whitened (see
+    :func:`compress_mode`).  ``MrcpdOptions(compression=None)`` turns it
+    off.  The type is kept, rather than a bool, because the benchmark
+    harness in ``perfbench/`` builds ``Compression("svd")``.
     """
 
     kind: str
-    mode: int | None = None
-    count: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("svd", "fibers"):
-            raise ValueError(f"unknown compression kind {self.kind!r}")
-        if self.mode is not None and not 0 <= self.mode <= 2:
-            raise ValueError(f"compression mode {self.mode} out of range; "
-                             "the merged tensor has modes 0, 1 and 2")
-        if self.kind == "svd" and self.count is not None:
-            raise ValueError("svd compression keeps J directions and takes "
-                             "no count; count is for fibers")
-        if self.count is not None and self.count < 1:
-            raise ValueError("fiber count must be positive")
+        if self.kind != "svd":
+            raise ValueError(f"unknown compression kind {self.kind!r}; the "
+                             "one kind is 'svd'")
 
 
 @dataclass
@@ -71,13 +60,12 @@ class MrcpdOptions:
     ``split=None`` plans the unfolding automatically from J-capped mode
     ranks (:func:`mode_rank`).  ``solver_opts`` drives every inner solve;
     its ``init`` must be ``None``, because the inner solver sees the merged
-    third-order tensor, which an order-N starting point does not fit; its
-    ``seed`` also draws the sampled fibers.  ``nonneg`` is passed to
-    :func:`kr_project`, where it picks the fitter: the SVD fit without it,
-    nonnegative power iterations with it.
-    ``compression`` shrinks one merged mode before the inner solve (see
-    :func:`compress_mode`).  ``restarts`` reruns the inner solver from
-    fresh seeds and keeps the best fit.
+    third-order tensor, which an order-N starting point does not fit.
+    ``nonneg`` is passed to :func:`kr_project`, where it picks the fitter:
+    the SVD fit without it, nonnegative power iterations with it.
+    ``compression`` shrinks the largest merged mode to J directions before
+    the inner solve (see :class:`Compression`).  ``restarts`` reruns the
+    inner solver from fresh seeds and keeps the best fit.
     """
 
     split: ModeSplit | None = None
@@ -146,17 +134,14 @@ def plan_unfolding(kranks, J: int) -> ModeSplit:
     return ModeSplit(perm, cuts)
 
 
-def compress_mode(T3, mode: int, width: int, method: str = "svd",
-                  seed=None):
-    """Shrink one mode of a tensor to ``width`` rows.
+def compress_mode(T3, mode: int, width: int):
+    """Shrink one mode of a tensor to ``width`` whitened SVD directions.
 
-    ``svd`` projects the mode-``mode`` matricization onto its leading
-    ``width`` left singular vectors and whitens (new matricization
-    ``inv(D) U^T M``).  ``fibers`` keeps ``width`` rows, sampled uniformly
-    without replacement (sorted; sampling every row is the identity).  A
-    ``width`` at or above the mode size is a no-op.  Each ``svd`` basis
-    column is signed so that its first entry above ``1e-12`` of its peak
-    is nonnegative, which makes the result independent of the signs the
+    Projects the mode-``mode`` matricization onto its leading ``width``
+    left singular vectors and whitens (new matricization ``inv(D) U^T M``).
+    A ``width`` at or above the mode size is a no-op.  Each basis column is
+    signed so that its first entry above ``1e-12`` of its peak is
+    nonnegative, which makes the result independent of the signs the
     factorization picks.
 
     Returns the compressed tensor.  Nothing is kept to undo the
@@ -169,38 +154,25 @@ def compress_mode(T3, mode: int, width: int, method: str = "svd",
         raise ValueError(f"mode {mode} out of range for order-{T3.ndim} tensor")
     if width < 1:
         raise ValueError("target width must be positive")
-    size = T3.shape[mode]
+    if width >= T3.shape[mode]:
+        return T3
     M = matricize(T3, mode)
-    if method == "svd":
-        if width >= size:
-            return T3
-        if width > M.shape[1]:
-            raise ValueError(f"cannot keep {width} singular directions of a "
-                             f"{M.shape} matricization")
-        cutoff = pinv_cutoff(M)
-        wide = M.shape[0] <= M.shape[1]
-        # Factor the short side; for a tall M that gives its right pairs.
-        W, s = left_singular_pairs(M if wide else M.T, cutoff, width)
-        if s[-1] <= cutoff * s[0]:
-            raise ValueError(f"mode {mode} has numerical rank below {width}; "
-                             "svd compression would divide by a negligible "
-                             "singular value")
-        U = W if wide else (M @ W) / s
-        U = U * _column_signs(U)
-        newM = (U / s).T @ M
-    elif method == "fibers":
-        if width > size:
-            raise ValueError(f"cannot sample {width} of {size} rows")
-        if width == size:
-            return T3
-        rng = np.random.default_rng(seed)
-        rows = np.sort(rng.choice(size, size=width, replace=False))
-        newM = M[rows]
-    else:
-        raise ValueError(f"unknown compression method {method!r}")
+    if width > M.shape[1]:
+        raise ValueError(f"cannot keep {width} singular directions of a "
+                         f"{M.shape} matricization")
+    cutoff = pinv_cutoff(M)
+    wide = M.shape[0] <= M.shape[1]
+    # Factor the short side; for a tall M that gives its right pairs.
+    W, s = left_singular_pairs(M if wide else M.T, cutoff, width)
+    if s[-1] <= cutoff * s[0]:
+        raise ValueError(f"mode {mode} has numerical rank below {width}; "
+                         "svd compression would divide by a negligible "
+                         "singular value")
+    U = W if wide else (M @ W) / s
+    U = U * _column_signs(U)
     shape = list(T3.shape)
     shape[mode] = width
-    return tensorize(newM, tuple(shape), mode)
+    return tensorize((U / s).T @ M, tuple(shape), mode)
 
 
 def recover_merged_factor(Y3, k: int, known_factors):
@@ -238,6 +210,27 @@ def verify_error_bound(T, est: KTensor, fit3: float, eps_k: float) -> BoundRepor
     holds = bool(final_err <= bound + BOUND_SLACK_REL * norm_t)
     return BoundReport(eps_k=float(eps_k), fit3=float(fit3),
                        final_err=final_err, bound=bound, holds=holds)
+
+
+def _orient_for_nonneg(merged, group_modes):
+    """Flip merged columns toward a positive sum before a nonneg projection.
+
+    The inner solve is unconstrained, so a merged column can come out
+    mostly negative, and no nonnegative rank-1 fit is then better than
+    zero.  Each projected (multi-mode) group's column takes the sign of its
+    sum, and the same sign goes onto one absorbing column: a singleton
+    group's if the split has one, else the last projected group's.  Each
+    flip is paired, so the model is unchanged.
+    """
+    merged = [G.copy() for G in merged]
+    projected = [g for g, modes in enumerate(group_modes) if len(modes) > 1]
+    singles = [g for g, modes in enumerate(group_modes) if len(modes) == 1]
+    absorb = singles[0] if singles else projected[-1]
+    for g in projected:
+        signs = np.where(merged[g].sum(axis=0) < 0, -1.0, 1.0)
+        merged[g] *= signs
+        merged[absorb] *= signs
+    return merged
 
 
 def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
@@ -292,16 +285,8 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
                          f"has {split.num_groups} groups")
     Y3 = reduce_modes(T, split)
 
-    comp = opts.compression
-    Y3s = Y3
-    if comp is not None:
-        m = int(np.argmax(Y3.shape)) if comp.mode is None else comp.mode
-        if comp.kind == "svd":
-            width = J
-        else:
-            width = comp.count if comp.count is not None else max(3 * J, 100)
-            width = min(width, Y3.shape[m])
-        Y3s = compress_mode(Y3, m, width, comp.kind, opts.solver_opts.seed)
+    m = int(np.argmax(Y3.shape))
+    Y3s = Y3 if opts.compression is None else compress_mode(Y3, m, J)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)
     if Y3s.shape != Y3.shape:
@@ -316,9 +301,12 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
 
     # Split each merged factor; eps_k sums the weighted projection residuals.
     lam = kt3.weights
+    merged = kt3.factors
+    if opts.nonneg:
+        merged = _orient_for_nonneg(merged, split.group_modes())
     eps_k = 0.0
     factors_by_mode = {}
-    for G, modes in zip(kt3.factors, split.group_modes()):
+    for G, modes in zip(merged, split.group_modes()):
         if len(modes) == 1:
             factors_by_mode[modes[0]] = G
             continue

@@ -10,11 +10,12 @@ from cpdkit.cli import (
     build_parser,
     format_split,
     main,
-    parse_compress,
     parse_split,
 )
+from cpdkit.als import SolverOptions
 from cpdkit.ktensor import KTensor, fit, read_ktns, reconstruct, write_ktns
 from cpdkit.linalg import khatri_rao
+from cpdkit.mrcpd import Compression, MrcpdOptions, mrcpd_decompose
 from cpdkit.synth import gen_random_ktensor
 from cpdkit.tensor import ModeSplit, write_tnsr
 
@@ -29,18 +30,6 @@ def test_parse_split():
         parse_split("1||2")
     with pytest.raises(ValueError, match="split group"):
         parse_split("1|a,2")
-
-
-def test_parse_compress():
-    assert parse_compress("none") is None
-    c = parse_compress("svd:2")
-    assert (c.kind, c.mode) == ("svd", 1)
-    f = parse_compress("fibers:3:40")
-    assert (f.kind, f.mode, f.count) == ("fibers", 2, 40)
-    with pytest.raises(ValueError, match="--compress"):
-        parse_compress("svd")
-    with pytest.raises(ValueError, match="--compress"):
-        parse_compress("zip:1")
 
 
 def test_parser_requires_subcommand_and_flags():
@@ -115,21 +104,6 @@ def test_decompose_mrcpd_rejects_init(tmp_path, capsys):
     assert not outp.exists()
 
 
-def test_decompose_fibers_follow_seed(tmp_path):
-    T = reconstruct(gen_random_ktensor((6, 5, 6, 5), 2, seed=1))
-    inp = tmp_path / "t.tnsr"
-    write_tnsr(inp, T)
-    outputs = []
-    for i in range(2):
-        outp = tmp_path / f"est{i}.ktns"
-        code = main(["decompose", "--input", str(inp), "--rank", "2",
-                     "--method", "mrcpd", "--seed", "0",
-                     "--compress", "fibers:3:12", "--output", str(outp)])
-        assert code == 0
-        outputs.append(outp.read_bytes())
-    assert outputs[0] == outputs[1]
-
-
 @pytest.mark.parametrize("command", ["decompose", "krproj"])
 def test_constraint_runs_power_fitter(tmp_path, capsys, command):
     # a constraint picks the power fitter; no second flag is needed
@@ -147,9 +121,7 @@ def test_constraint_runs_power_fitter(tmp_path, capsys, command):
                                     rng.uniform(0.1, 1.0, (5, 2))]))
         argv = ["krproj", "--input", str(inp), "--shape", "4,5", "--nonneg"]
     with warnings.catch_warnings():
-        # a merged column whose sign flipped in the solve can collapse to
-        # zero under the constraint; that is the documented behavior
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -160,10 +132,46 @@ def test_constraint_runs_power_fitter(tmp_path, capsys, command):
         assert float(captured.out.split("eps_k=")[1]) < 1e-10
 
 
-@pytest.mark.parametrize("flag, value", [("--split", "1|2|3"),
-                                         ("--compress", "fibers:1:3"),
-                                         pytest.param("--nonneg", None,
-                                                      id="--nonneg")])
+def test_nonneg_decompose_keeps_unconstrained_fit(tmp_path, capsys):
+    # exactly nonnegative rank-2 data: the constrained projection must not
+    # collapse a merged column the unconstrained solve left negative
+    rng = np.random.default_rng(209)
+    truth = KTensor([rng.uniform(0.1, 1.0, (s, 2)) for s in (4, 3, 4, 3)])
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, reconstruct(truth))
+    fits = []
+    for flags in ([], ["--nonneg"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["decompose", "--input", str(inp), "--rank", "2",
+                         "--method", "mrcpd", "--seed", "7", *flags,
+                         "--output", str(tmp_path / "est.ktns")]) == 0
+        fits.append(float(capsys.readouterr().out.split("fit=")[1].split()[0]))
+    assert abs(fits[1] - fits[0]) <= 1e-6
+
+
+def test_decompose_compress_matches_library(tmp_path):
+    # --compress is Compression("svd"): the largest merged mode, J directions
+    T = reconstruct(gen_random_ktensor((6, 5, 4, 7), 3, seed=5))
+    inp = tmp_path / "t.tnsr"
+    outp = tmp_path / "est.ktns"
+    write_tnsr(inp, T)
+    assert main(["decompose", "--input", str(inp), "--rank", "3",
+                 "--method", "mrcpd", "--split", "1|2,3|4", "--seed", "3",
+                 "--compress", "--output", str(outp)]) == 0
+    want, _, _ = mrcpd_decompose(T, 3, MrcpdOptions(
+        split=parse_split("1|2,3|4"), compression=Compression("svd"),
+        solver_opts=SolverOptions(max_iters=100, tol=1e-8, seed=3)))
+    got = read_ktns(outp)
+    assert np.array_equal(got.weights, want.weights)
+    for A, B in zip(got.factors, want.factors):
+        assert np.array_equal(A, B)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--split", "1|2|3"),
+    pytest.param("--compress", None, id="--compress"),
+    pytest.param("--nonneg", None, id="--nonneg")])
 def test_decompose_als_rejects_mrcpd_flags(tmp_path, capsys, flag, value):
     inp = tmp_path / "t.tnsr"
     outp = tmp_path / "est.ktns"
@@ -179,34 +187,11 @@ def test_decompose_als_rejects_mrcpd_flags(tmp_path, capsys, flag, value):
     assert not outp.exists()
 
 
-@pytest.mark.parametrize("compress, typed", [("svd:0", "0"),
-                                             ("fibers:0:3", "0"),
-                                             ("svd:4", "4")])
-def test_decompose_compress_mode_out_of_range(tmp_path, capsys, compress,
-                                              typed):
-    inp = tmp_path / "t.tnsr"
-    outp = tmp_path / "est.ktns"
-    write_tnsr(inp, reconstruct(gen_random_ktensor((4, 3, 4, 3), 2,
-                                                   seed=212)))
-    code = main(["decompose", "--input", str(inp), "--rank", "2",
-                 "--method", "mrcpd", "--compress", compress,
-                 "--output", str(outp)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --compress mode {typed} out of range")
-    assert err.count("\n") == 1
-    assert not outp.exists()
-
-
 @pytest.mark.parametrize("argv, message", [
-    (["decompose", "--compress", "svd:x"],
-     "--compress: 'x' is not an integer"),
-    (["decompose", "--compress", "fibers:1:x"],
-     "--compress: 'x' is not an integer"),
     (["krproj", "--shape", "4,x"], "--shape: 'x' is not an integer"),
     (["krproj", "--shape=-4,-5"], "mode sizes must be >= 1, got [-4, -5]"),
     (["krproj", "--shape=0,20"], "mode sizes must be >= 1, got [0, 20]"),
-], ids=["svd:x", "fibers:1:x", "4,x", "-4,-5", "0,20"])
+], ids=["4,x", "-4,-5", "0,20"])
 def test_bad_size_tokens_rejected(tmp_path, capsys, argv, message):
     rng = np.random.default_rng(215)
     inp = tmp_path / "t.tnsr"
@@ -250,6 +235,21 @@ def test_analyze_ktensor(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "factor kruskal ranks: [3, 3, 3]" in out
     assert "order below 4" in out
+
+
+def test_analyze_wide_ktensor_uses_rank_cutoff(tmp_path, capsys):
+    # more columns than the exact Kruskal test takes: the estimate is the
+    # mode rank at RANK_RTOL, so a column equal to another up to 1e-10
+    # noise does not count
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((20, 13))
+    A[:, 12] = A[:, 0] + 1e-10 * rng.standard_normal(20)
+    inp = tmp_path / "f.ktns"
+    write_ktns(inp, KTensor([A, rng.standard_normal((20, 13)),
+                             rng.standard_normal((20, 13))]))
+    assert main(["analyze", "--input", str(inp)]) == 0
+    assert "krank estimates (rank-based, 13 columns is too many for the " \
+        "exact test): [12, 13, 13]" in capsys.readouterr().out
 
 
 def test_analyze_unknown_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdkit import als, mrcpd
+from cpdkit import mrcpd
 from cpdkit.als import SolverOptions
 from cpdkit.ktensor import KTensor, fit, normalize, reconstruct
 from cpdkit.linalg import (_column_signs, khatri_rao, left_singular_pairs,
@@ -120,18 +120,8 @@ def test_compress_mode_noop_paths():
     same = compress_mode(T3, 0, 3)
     assert np.array_equal(same, T3)
 
-    same2 = compress_mode(T3, 1, 4, method="fibers")
+    same2 = compress_mode(T3, 1, 5)
     assert np.array_equal(same2, T3)
-
-
-def test_compress_mode_fibers():
-    T3 = np.random.default_rng(74).standard_normal((8, 4, 3))
-    C = compress_mode(T3, 0, 5, method="fibers", seed=7)
-    C2 = compress_mode(T3, 0, 5, method="fibers", seed=7)
-    assert np.array_equal(C, C2)
-    rows = np.sort(np.random.default_rng(7).choice(8, size=5, replace=False))
-    assert np.all(np.diff(rows) > 0)
-    assert np.array_equal(matricize(C, 0), matricize(T3, 0)[rows])
 
 
 def test_compress_mode_validation():
@@ -140,14 +130,12 @@ def test_compress_mode_validation():
         compress_mode(T3, 5, 2)
     with pytest.raises(ValueError):
         compress_mode(T3, 0, 0)
-    with pytest.raises(ValueError):
-        compress_mode(T3, 0, 2, method="quantum")
     with pytest.raises(ValueError, match="singular"):
         # rank-2 data cannot support 4 whitened directions
         compress_mode(reconstruct(gen_random_ktensor((6, 4, 3), 2, seed=76)),
                       0, 4)
-    with pytest.raises(ValueError, match="sample"):
-        compress_mode(T3, 1, 5, method="fibers")
+    with pytest.raises(ValueError, match="out of range"):
+        compress_mode(T3, -1, 2)
 
 
 def full_svd_guard_raises(M, width):
@@ -301,14 +289,14 @@ def test_decompose_with_svd_compression():
 
 
 def test_svd_compression_ignores_basis_signs(monkeypatch):
-    # compressing a merged mode that the inner solve does not update first:
-    # flipping basis columns must not change the result
+    # the largest merged mode is 1, which the inner solve does not update
+    # first: flipping basis columns must not change the result
     truth = gen_random_ktensor((6, 5, 4, 7), 3, seed=97)
     T = reconstruct(truth)
     T = T + 0.05 * frobenius_norm(T) / np.sqrt(T.size) \
         * np.random.default_rng(98).standard_normal(T.shape)
     opts = MrcpdOptions(split=ModeSplit((0, 1, 2, 3), (0, 1, 3, 4)),
-                        compression=Compression("svd", mode=1),
+                        compression=Compression("svd"),
                         solver_opts=solver_opts(10, max_iters=200, tol=1e-9),
                         restarts=3)
     est_a, rep_a, bound_a = mrcpd_decompose(T, 3, opts)
@@ -339,16 +327,6 @@ def test_decompose_rejects_init():
             init=init)))
 
 
-def test_decompose_with_fiber_compression():
-    truth = gen_random_ktensor((6, 6, 6, 6), 2, seed=86)
-    T = reconstruct(truth)
-    est, _, bound = mrcpd_decompose(
-        T, 2, MrcpdOptions(compression=Compression("fibers", count=20),
-                           solver_opts=solver_opts(4), restarts=4))
-    assert bound.holds
-    assert fit(T, reconstruct(est)) > 1 - 1e-6
-
-
 def test_decompose_truncated_rank_bound_still_holds():
     truth = gen_random_ktensor((6, 6, 5, 5), 4, seed=87)
     T = reconstruct(truth)
@@ -374,9 +352,7 @@ def test_decompose_nonneg_projection():
     truth = KTensor([rng.uniform(0.1, 1.0, (5, 2)) for _ in range(4)])
     T = reconstruct(truth)
     with warnings.catch_warnings():
-        # a merged column whose sign flipped in the solve can collapse to
-        # zero under the constraint; that is the documented behavior
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         est, _, bound = mrcpd_decompose(
             T, 2,
             MrcpdOptions(nonneg=True, solver_opts=solver_opts(7),
@@ -386,6 +362,25 @@ def test_decompose_nonneg_projection():
     # unit directions, so it must respect the constraint regardless of the
     # sign the unconstrained third-order solve picked for the merged column
     assert np.all(est.factors[2] >= -1e-12)
+
+
+def test_nonneg_without_singleton_group():
+    # every group is projected, so the last one absorbs the sign flips; on
+    # exactly nonnegative data the constrained run keeps the unconstrained
+    # fit
+    rng = np.random.default_rng(209)
+    shape = (3, 2, 3, 2, 3, 2)
+    T = reconstruct(KTensor([rng.uniform(0.1, 1.0, (s, 2)) for s in shape]))
+    split = ModeSplit(tuple(range(6)), (0, 2, 4, 6))
+    fits = []
+    for nonneg in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est, _, bound = mrcpd_decompose(T, 2, MrcpdOptions(
+                split=split, nonneg=nonneg, solver_opts=solver_opts(7)))
+        assert bound.holds
+        fits.append(fit(T, reconstruct(est)))
+    assert abs(fits[1] - fits[0]) <= 1e-6
 
 
 def test_decompose_validation():
@@ -410,7 +405,7 @@ def test_decompose_rejects_non_finite(bad):
         mrcpd_decompose(T, 2)
 
 
-@pytest.mark.parametrize("kind", [None, "svd", "fibers"])
+@pytest.mark.parametrize("kind", [None, "svd"])
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_pipeline_properties(kind, data):
@@ -424,14 +419,7 @@ def test_pipeline_properties(kind, data):
     b1 = data.draw(st.integers(1, N - 2))
     b2 = data.draw(st.integers(b1 + 1, N - 1))
     split = ModeSplit(data.draw(st.permutations(range(N))), (0, b1, b2, N))
-    comp = None
-    if kind == "svd":
-        comp = Compression("svd")
-    elif kind == "fibers":
-        # sample fewer rows than the largest merged mode has
-        largest = max(split.group_sizes(shape))
-        comp = Compression("fibers",
-                           count=data.draw(st.integers(1, largest - 1)))
+    comp = Compression(kind) if kind else None
     truth = gen_random_ktensor(shape, R, seed=seed)
     T = reconstruct(truth)
     norm_t = frobenius_norm(T)
@@ -457,42 +445,9 @@ def test_pipeline_properties(kind, data):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError, match="no count"):
-        Compression("svd", count=5)
     with pytest.raises(ValueError):
         MrcpdOptions(restarts=0)
-    with pytest.raises(ValueError):
-        Compression("lossy")
-    with pytest.raises(ValueError):
-        Compression("fibers", count=0)
-
-
-@pytest.mark.parametrize("mode", [-1, 3])
-def test_compression_mode_out_of_range(mode):
-    with pytest.raises(ValueError, match=f"compression mode {mode} out of "
-                                         "range"):
-        Compression("svd", mode=mode)
-    assert Compression("fibers", mode=2).mode == 2
-
-
-def test_fibers_follow_solver_seed():
-    # the inner solver sees exactly the rows compress_mode samples at the
-    # solver seed
-    T = reconstruct(gen_random_ktensor((5, 4, 6, 3), 2, seed=93))
-    split = ModeSplit((0, 1, 2, 3), (0, 1, 2, 4))
-    seen = []
-    als_solver = als.get_solver("als")
-
-    def spy(Y3, J, opts):
-        seen.append(Y3)
-        return als_solver(Y3, J, opts)
-
-    als.register_solver("als", spy)
-    try:
-        mrcpd_decompose(T, 2, MrcpdOptions(
-            split=split, compression=Compression("fibers", mode=2, count=7),
-            solver_opts=solver_opts(11, max_iters=5)))
-    finally:
-        als.register_solver("als", als_solver)
-    want = compress_mode(reduce_modes(T, split), 2, 7, "fibers", seed=11)
-    assert np.array_equal(seen[0], want)
+    for kind in ("lossy", "fibers"):
+        with pytest.raises(ValueError, match="unknown compression kind"):
+            Compression(kind)
+    assert Compression("svd").kind == "svd"

@@ -4,11 +4,14 @@ CLI take.  Adding or removing any of them changes this test on purpose."""
 
 import dataclasses
 import inspect
+import re
+import shlex
+from pathlib import Path
 
 import cpdkit
 from cpdkit.cli import build_parser
 from cpdkit.krproj import kr_project, rank1_power_iteration
-from cpdkit.mrcpd import Compression, MrcpdOptions
+from cpdkit.mrcpd import Compression, MrcpdOptions, compress_mode
 from cpdkit.uniqueness import kruskal_rank, mode_rank
 
 
@@ -42,14 +45,14 @@ def test_mrcpd_options_fields():
 
 
 def test_compression_fields():
-    assert [f.name for f in dataclasses.fields(Compression)] == [
-        "kind", "mode", "count"]
+    assert [f.name for f in dataclasses.fields(Compression)] == ["kind"]
 
 
 def test_kernel_parameters():
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
+    assert params(compress_mode) == ["T3", "mode", "width"]
     assert params(kr_project) == ["H", "sizes", "method", "nonneg"]
     assert params(rank1_power_iteration) == ["T", "nonneg"]
     assert params(mode_rank) == ["T", "n"]
@@ -70,3 +73,18 @@ def test_cli_options():
         "--output", "-h", "--help"])
     assert options("krproj") == sorted([
         "--input", "--shape", "--nonneg", "-h", "--help"])
+
+
+def test_readme_commands_parse():
+    # every `cpd ...` line of README's Command line block, continuations
+    # joined, must parse: a renamed flag cannot leave the README stale
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cpd ")]
+    assert {c[0] for c in commands} == {"decompose", "analyze", "krproj",
+                                        "bench"}
+    for argv in commands:
+        build_parser().parse_args(argv)
