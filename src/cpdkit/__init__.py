@@ -5,8 +5,7 @@ from .bench import (BenchConfig, RunRecord, gcr, run_benchmark, sim1_config,
                     sim2_config, summarize, write_csv)
 from .krproj import kr_project, rank1_parallel_extract, rank1_power_iteration
 from .ktensor import (KTensor, MatchResult, fit, match_factors, msir,
-                      normalize, read_ktns, reconstruct,
-                      reconstruct_matricized, write_ktns)
+                      normalize, read_ktns, reconstruct, write_ktns)
 from .linalg import hadamard, khatri_rao, ls_solve
 from .mrcpd import (BoundReport, Compression, MrcpdOptions, compress_mode,
                     mrcpd_decompose, plan_unfolding, recover_merged_factor,
@@ -31,9 +30,8 @@ __all__ = [
     "ksb_check", "ls_solve", "match_factors", "matricize", "mode_contract",
     "mode_rank", "mrcpd_decompose", "msir", "normalize", "plan_unfolding",
     "rank1_parallel_extract", "rank1_power_iteration", "read_ktns",
-    "read_tnsr", "reconstruct", "reconstruct_matricized",
-    "recover_merged_factor", "reduce_modes", "register_solver",
-    "run_benchmark", "sim1_config", "sim2_config", "summarize",
-    "tensor_from_vec", "tensorize", "vectorize", "verify_error_bound",
-    "write_csv", "write_ktns", "write_tnsr",
+    "read_tnsr", "reconstruct", "recover_merged_factor", "reduce_modes",
+    "register_solver", "run_benchmark", "sim1_config", "sim2_config",
+    "summarize", "tensor_from_vec", "tensorize", "vectorize",
+    "verify_error_bound", "write_csv", "write_ktns", "write_tnsr",
 ]

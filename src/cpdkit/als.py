@@ -74,7 +74,7 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
         raise ValueError("cp_als input has NaN or Inf entries")
     opts = opts if opts is not None else SolverOptions()
     N = T.ndim
-    norm_y = float(np.linalg.norm(T.ravel()))
+    norm_y = float(np.linalg.norm(T))
     if norm_y == 0:
         raise ValueError("cp_als on a zero tensor")
     max_rank = min(prod(T.shape) // s for s in T.shape)

@@ -114,10 +114,13 @@ def run_benchmark(cfg: BenchConfig, out_csv=None) -> list[RunRecord]:
                 bound_slack = breport.bound - breport.final_err
             else:
                 raise ValueError(f"unknown benchmark method {method!r}")
+            # One dense model per estimate, freed before the next solve.
+            Y_est = reconstruct(est)
+            fits = fit(Y_true, Y_est), fit(Y_obs, Y_est)
+            del Y_est
             records.append(RunRecord(
                 method=method, run=r,
-                fit_noiseless=fit(Y_true, reconstruct(est)),
-                fit_observed=fit(Y_obs, reconstruct(est)),
+                fit_noiseless=fits[0], fit_observed=fits[1],
                 msir_mean=_mean_msir(truth, est),
                 runtime_s=rep.runtime_s, converged=rep.converged,
                 eps_k=eps_k, bound_slack=bound_slack))

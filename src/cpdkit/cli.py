@@ -26,16 +26,28 @@ from .uniqueness import (KRUSKAL_RANK_MAX_COLS, check_unfolded_uniqueness,
 
 def parse_split(text: str) -> ModeSplit:
     """Parse ``"1|2,3|4,5"`` into a ModeSplit (1-based modes, listing order
-    is the permutation)."""
-    groups = []
+    is the permutation).  The listed modes must be 1..count, each once."""
+    groups, typed = [], []
     for part in text.split("|"):
+        tokens = [tok.strip() for tok in part.split(",") if tok.strip()]
         try:
-            modes = tuple(int(tok) for tok in part.split(",") if tok.strip())
+            modes = tuple(int(tok) for tok in tokens)
         except ValueError:
             raise ValueError(f"bad split group {part!r}") from None
         if not modes:
             raise ValueError(f"empty group in split {text!r}")
         groups.append(modes)
+        typed.extend(zip(tokens, modes))
+    seen = set()
+    for tok, m in typed:
+        if not 1 <= m <= len(typed):
+            raise ValueError(f"split mode {tok!r} is out of range: the "
+                             f"{len(typed)} listed modes are numbered "
+                             f"1..{len(typed)}")
+        if m in seen:
+            raise ValueError(f"split mode {tok!r} is listed twice in "
+                             f"{text!r}")
+        seen.add(m)
     perm = tuple(m - 1 for g in groups for m in g)
     cuts = [0]
     for g in groups:
@@ -78,7 +90,7 @@ def _cmd_decompose(args) -> int:
             nonneg=args.nonneg,
             compression=Compression("svd") if args.compress else None)
         kt, rep, bound = mrcpd_decompose(T, args.rank, opts)
-        norm_t = float(np.linalg.norm(T.ravel()))
+        norm_t = float(np.linalg.norm(T))
         print(f"method=mrcpd fit={float(1.0 - bound.final_err / norm_t)!r} "
               f"runtime_s={rep.runtime_s:.3f} iterations={rep.iterations} "
               f"converged={rep.converged} eps_k={float(bound.eps_k)!r} "
@@ -123,7 +135,7 @@ def _analyze_tensor(T, rank) -> int:
     return 0
 
 
-def _analyze_ktensor(kt, rank) -> int:
+def _analyze_ktensor(kt) -> int:
     J = kt.rank
     print(f"order={kt.order} shape={kt.shape} rank={J}")
     if J <= KRUSKAL_RANK_MAX_COLS:
@@ -157,7 +169,11 @@ def _cmd_analyze(args) -> int:
     if magic == TNSR_MAGIC:
         return _analyze_tensor(read_tnsr(args.input), args.rank)
     if magic == KTNS_MAGIC:
-        return _analyze_ktensor(read_ktns(args.input), args.rank)
+        kt = read_ktns(args.input)
+        if args.rank is not None and args.rank != kt.rank:
+            raise ValueError(f"--rank {args.rank} does not match the rank "
+                             f"{kt.rank} of factor file {args.input}")
+        return _analyze_ktensor(kt)
     raise ValueError(f"{args.input}: neither a tensor nor a factor file")
 
 

@@ -73,7 +73,7 @@ def rank1_power_iteration(T, nonneg: bool = False):
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2:
         raise ValueError("rank-1 iteration needs an order >= 2 tensor")
-    normT = float(np.linalg.norm(T.ravel()))
+    normT = float(np.linalg.norm(T))
     if normT == 0:
         return [np.zeros(s) for s in T.shape], 0.0
     # Singular-vector start; oriented positively so the nonneg clamp keeps
@@ -96,7 +96,7 @@ def rank1_power_iteration(T, nonneg: bool = False):
                 return [np.zeros(s) for s in T.shape], 0.0
             w = mode_contract(T, others, skip=k) / denom
             vecs[k] = np.maximum(w, 0.0) if nonneg else w
-        resid = float(np.linalg.norm((T - _rank1_dense(vecs)).ravel()))
+        resid = float(np.linalg.norm(T - _rank1_dense(vecs)))
         if prev is not None and abs(prev - resid) <= POWER_TOL * normT:
             converged = True
             break
@@ -121,7 +121,8 @@ def kr_project(H, sizes, method: str | None = None, nonneg: bool = False):
     ----------
     H : ndarray, shape (prod(sizes), J)
         Merged factor; column j is treated as the canonical vectorization of
-        an order-P tensor with mode sizes ``sizes``.
+        an order-P tensor with mode sizes ``sizes``.  NaN or Inf entries
+        are rejected.
     sizes : sequence of int, length P >= 2
         Row sizes of the per-mode factors to recover.
     method : {None, "svd", "power"}
@@ -150,6 +151,8 @@ def kr_project(H, sizes, method: str | None = None, nonneg: bool = False):
     if H.ndim != 2 or H.shape[0] != int(np.prod(sizes)):
         raise ValueError(f"H has {H.shape} but mode sizes {sizes} imply "
                          f"{int(np.prod(sizes))} rows")
+    if not np.isfinite(H).all():
+        raise ValueError("H has NaN or Inf entries")
     if method is None:
         method = "power" if nonneg else "svd"
     if method not in ("svd", "power"):

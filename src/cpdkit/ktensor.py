@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .linalg import khatri_rao
-from .tensor import _read_exact, tensorize
+from .tensor import _read_exact
 from .uniqueness import collinearity
 
 KTNS_MAGIC = b"KTNS"
@@ -70,23 +70,24 @@ class KTensor:
 
 
 def reconstruct(kt: KTensor) -> np.ndarray:
-    """Dense tensor represented by a KTensor."""
-    if kt.order == 1:
-        return kt.factors[0] @ kt.weights
-    M = reconstruct_matricized(kt, 0)
-    return tensorize(M, kt.shape, 0)
+    """Dense tensor represented by a KTensor, as one matrix product.
 
-
-def reconstruct_matricized(kt: KTensor, n: int) -> np.ndarray:
-    """Mode-``n`` matricization of the represented tensor.
-
-    Equals ``A_n @ diag(weights) @ khatri_rao(other factors, mode order).T``
-    without forming the dense tensor first.
+    The modes are cut at the ``h`` that minimizes
+    ``prod(shape[:h]) + prod(shape[h:])``, and the result is
+    ``(khatri_rao(A_{h-1}, ..., A_0) * w) @ khatri_rao(A_{N-1}, ..., A_h).T``
+    reshaped in C order: each half lists its factors last mode first, so its
+    rows run over that half's modes in C order, the reshape is free and the
+    returned array is C-contiguous.  No Khatri-Rao product larger than the
+    bigger half is formed.  An order-1 KTensor cuts at ``h = 1`` and its
+    empty right half is a single row of ones.
     """
-    if not 0 <= n < kt.order:
-        raise ValueError(f"mode {n} out of range for order-{kt.order} KTensor")
-    others = [kt.factors[p] for p in range(kt.order) if p != n]
-    return (kt.factors[n] * kt.weights) @ khatri_rao(others).T
+    shape, J = kt.shape, kt.rank
+    h = min(range(1, kt.order + 1),
+            key=lambda k: prod(shape[:k]) + prod(shape[k:]))
+    left = khatri_rao(kt.factors[h - 1::-1]) * kt.weights
+    right = (khatri_rao(kt.factors[:h - 1:-1]) if h < kt.order
+             else np.ones((1, J)))
+    return (left @ right.T).reshape(shape)
 
 
 def normalize(kt: KTensor, all_modes: bool = False) -> KTensor:
@@ -118,10 +119,10 @@ def fit(ref, est) -> float:
     est = np.asarray(est, dtype=np.float64)
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {est.shape}")
-    nref = np.linalg.norm(ref.ravel())
+    nref = np.linalg.norm(ref)
     if nref == 0:
         raise ValueError("fit is undefined for a zero reference")
-    return 1.0 - float(np.linalg.norm((ref - est).ravel())) / float(nref)
+    return 1.0 - float(np.linalg.norm(ref - est)) / float(nref)
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,10 @@ def write_ktns(path, kt: KTensor) -> None:
 
 
 def read_ktns(path) -> KTensor:
-    """Read a KTensor written by :func:`write_ktns`."""
+    """Read a KTensor written by :func:`write_ktns`.
+
+    NaN or Inf weights or factor entries are rejected, naming the file.
+    """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != KTNS_MAGIC:
@@ -242,6 +246,8 @@ def read_ktns(path) -> KTensor:
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after payload")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: weights or factors have NaN or Inf entries")
     weights, factors, at = values[:J], [], J
     for size in shape:
         factors.append(values[at:at + size * J].reshape((size, J), order="F"))

@@ -193,20 +193,41 @@ def recover_merged_factor(Y3, k: int, known_factors):
     return ls_solve(B, matricize(Y3, k).T).T
 
 
+def _residual_norm(T, kt: KTensor) -> float:
+    """``||T - [[kt]]||_F`` with one tensor-sized temporary.
+
+    The model from :func:`reconstruct` is C-contiguous and ``T`` is
+    subtracted from it in place.  A tensor that is not C-contiguous is read
+    as ``T.T`` against the factors in reverse order, because an F-ordered
+    tensor is the C-ordered tensor of its reversed modes; that keeps the
+    subtraction in memory order for both layouts.
+    """
+    if not T.flags.c_contiguous:
+        T, kt = T.T, KTensor(kt.factors[::-1], kt.weights)
+    R = reconstruct(kt)
+    R -= T
+    return float(np.linalg.norm(R))
+
+
 def verify_error_bound(T, est: KTensor, fit3: float, eps_k: float) -> BoundReport:
     """Check the pipeline's error bound on a finished estimate.
 
     ``est`` must be normalized (unit columns outside the last mode) so the
-    sqrt(J) step of the bound applies.
+    sqrt(J) step of the bound applies.  ``final_err`` is measured by
+    :func:`_residual_norm`, so the check allocates one tensor-sized array
+    (the model, with ``T`` subtracted in place).
     """
     T = np.asarray(T, dtype=np.float64)
+    if T.shape != est.shape:
+        raise ValueError(f"tensor shape {T.shape} does not match estimate "
+                         f"shape {est.shape}")
     for n in range(est.order - 1):
         norms = np.linalg.norm(est.factors[n], axis=0)
         if np.any(np.abs(norms[norms > 0] - 1.0) > 1e-6):
             raise ValueError(f"estimate factor {n} is not column-normalized")
-    final_err = float(np.linalg.norm((T - reconstruct(est)).ravel()))
+    final_err = _residual_norm(T, est)
     bound = float(fit3 + np.sqrt(est.rank) * eps_k)
-    norm_t = float(np.linalg.norm(T.ravel()))
+    norm_t = float(np.linalg.norm(T))
     holds = bool(final_err <= bound + BOUND_SLACK_REL * norm_t)
     return BoundReport(eps_k=float(eps_k), fit3=float(fit3),
                        final_err=final_err, bound=bound, holds=holds)
@@ -294,9 +315,9 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
         others = [factors3[p] for p in range(3) if p != m]
         factors3[m] = recover_merged_factor(Y3, m, others)
         kt3 = normalize(KTensor(factors3), all_modes=True)
-    fit3 = float(np.linalg.norm((Y3 - reconstruct(kt3)).ravel()))
-    # Y3 is a full copy of T: free it before the bound check allocates two
-    # more tensor-sized arrays.
+    fit3 = _residual_norm(Y3, kt3)
+    # Y3 is a full copy of T: free it before the bound check allocates its
+    # one tensor-sized array.
     del Y3, Y3s
 
     # Split each merged factor; eps_k sums the weighted projection residuals.

@@ -93,10 +93,10 @@ def add_noise(T, snr_db, seed=None) -> np.ndarray:
     T = np.asarray(T, dtype=np.float64)
     if snr_db is None:
         return T.copy()
-    norm_t = float(np.linalg.norm(T.ravel()))
+    norm_t = float(np.linalg.norm(T))
     if norm_t == 0:
         raise ValueError("cannot set an SNR against a zero tensor")
     rng = np.random.default_rng(seed)
     E = rng.standard_normal(T.shape)
-    E *= norm_t / (float(np.linalg.norm(E.ravel())) * 10.0 ** (snr_db / 20.0))
+    E *= norm_t / (float(np.linalg.norm(E)) * 10.0 ** (snr_db / 20.0))
     return T + E

@@ -97,7 +97,7 @@ def tensor_from_vec(vec, shape) -> np.ndarray:
 
 def frobenius_norm(T) -> float:
     """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(T, dtype=np.float64).ravel()))
+    return float(np.linalg.norm(np.asarray(T, dtype=np.float64)))
 
 
 def matricize(T, n: int) -> np.ndarray:

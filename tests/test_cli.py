@@ -30,6 +30,13 @@ def test_parse_split():
         parse_split("1||2")
     with pytest.raises(ValueError, match="split group"):
         parse_split("1|a,2")
+    # typed mode numbers are quoted as typed, never shifted to 0-based
+    with pytest.raises(ValueError, match="split mode '0' is out of range"):
+        parse_split("0|1|2,3")
+    with pytest.raises(ValueError, match="split mode '5' is out of range"):
+        parse_split("1|2|3,5")
+    with pytest.raises(ValueError, match="split mode '3' is listed twice"):
+        parse_split("1|2|3,3")
 
 
 def test_parser_requires_subcommand_and_flags():
@@ -285,6 +292,58 @@ def test_analyze_rejects_non_finite_input(tmp_path, capsys):
     write_tnsr(inp, T)
     assert main(["analyze", "--input", str(inp)]) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+def test_analyze_rejects_non_finite_ktensor(tmp_path, capsys):
+    kt = gen_random_ktensor((4, 3, 5), 2, seed=208)
+    kt.factors[1][0, 1] = np.nan
+    inp = tmp_path / "nan.ktns"
+    write_ktns(inp, kt)
+    assert main(["analyze", "--input", str(inp)]) == 1
+    assert_one_line_error(capsys, "nan.ktns", "NaN or Inf")
+
+
+def test_decompose_rejects_non_finite_init(tmp_path, capsys):
+    truth = gen_random_ktensor((4, 3, 5), 2, seed=209)
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, reconstruct(truth))
+    truth.factors[0][2, 0] = np.inf
+    init = tmp_path / "inf.ktns"
+    write_ktns(init, truth)
+    outp = tmp_path / "e.ktns"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["decompose", "--input", str(inp), "--rank", "2",
+                     "--method", "als", "--init", str(init),
+                     "--output", str(outp)])
+    assert code == 1
+    assert_one_line_error(capsys, "inf.ktns", "NaN or Inf")
+    assert not outp.exists()
+
+
+def test_krproj_rejects_non_finite_input(tmp_path, capsys):
+    H = np.ones((20, 3))
+    H[7, 1] = np.nan
+    inp = tmp_path / "h.tnsr"
+    write_tnsr(inp, H)
+    assert main(["krproj", "--input", str(inp), "--shape", "4,5"]) == 1
+    assert_one_line_error(capsys, "NaN or Inf")
+
+
+def test_analyze_ktensor_rank_must_match(tmp_path, capsys):
+    inp = tmp_path / "f.ktns"
+    write_ktns(inp, gen_random_ktensor((6, 5, 4), 3, seed=210))
+    assert main(["analyze", "--input", str(inp), "--rank", "7"]) == 1
+    assert_one_line_error(capsys, "--rank 7", "rank 3")
+    assert main(["analyze", "--input", str(inp), "--rank", "3"]) == 0
+    assert "factor kruskal ranks: [3, 3, 3]" in capsys.readouterr().out
 
 
 def test_krproj_command(tmp_path, capsys):

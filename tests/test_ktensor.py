@@ -2,10 +2,14 @@
 matching metrics, and the factor file format."""
 
 import struct
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cpdkit import ktensor
 from cpdkit.ktensor import (
     KTNS_MAGIC,
     KTensor,
@@ -15,9 +19,10 @@ from cpdkit.ktensor import (
     normalize,
     read_ktns,
     reconstruct,
-    reconstruct_matricized,
     write_ktns,
 )
+from cpdkit.linalg import khatri_rao
+from cpdkit.tensor import matricize
 
 
 def reconstruct_oracle(kt):
@@ -75,13 +80,54 @@ def test_reconstruct_order_one():
 def test_reconstruct_matricized_consistent():
     rng = np.random.default_rng(22)
     kt = random_ktensor(rng, (4, 3, 5), 3, weights=rng.uniform(0.5, 2.0, 3))
-    from cpdkit.tensor import matricize
     T = reconstruct(kt)
     for n in range(kt.order):
-        assert np.allclose(reconstruct_matricized(kt, n), matricize(T, n),
+        others = [kt.factors[p] for p in range(kt.order) if p != n]
+        assert np.allclose((kt.factors[n] * kt.weights)
+                           @ khatri_rao(others).T, matricize(T, n),
                            atol=1e-12)
-    with pytest.raises(ValueError):
-        reconstruct_matricized(kt, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       J=st.integers(1, 4), seed=st.integers(0, 2 ** 30))
+@example(shape=[30, 30, 2], J=3, seed=0)
+@example(shape=[2, 30, 30], J=2, seed=1)
+@example(shape=[1, 9, 1, 1, 3], J=2, seed=2)
+@example(shape=[1], J=3, seed=3)
+def test_reconstruct_properties(shape, J, seed):
+    rng = np.random.default_rng(seed)
+    kt = random_ktensor(rng, shape, J, weights=rng.uniform(-2.0, 2.0, J))
+    T = reconstruct(kt)
+    assert T.shape == kt.shape and T.flags.c_contiguous
+    scale = 1e-12 * max(1.0, float(np.abs(T).max()))
+    assert np.allclose(T, reconstruct_oracle(kt), rtol=0, atol=scale)
+    if kt.order == 1:
+        return
+    for n in range(kt.order):
+        others = [kt.factors[p] for p in range(kt.order) if p != n]
+        assert np.allclose(matricize(T, n), (kt.factors[n] * kt.weights)
+                           @ khatri_rao(others).T, rtol=0, atol=scale)
+
+
+@pytest.mark.parametrize("shape, biggest", [
+    ((40, 40, 2), 80),          # a mode-count split would form 1600 rows
+    ((8, 8, 8, 8, 8), 512),
+    ((400, 3, 5), 400),
+])
+def test_reconstruct_forms_only_balanced_halves(monkeypatch, shape, biggest):
+    rows = []
+
+    def spy(mats):
+        out = khatri_rao(mats)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(ktensor, "khatri_rao", spy)
+    kt = random_ktensor(np.random.default_rng(29), shape, 3)
+    T = reconstruct(kt)
+    assert len(rows) == 2 and max(rows) == biggest
+    assert prod(rows) == T.size
 
 
 def test_normalize():
@@ -203,6 +249,20 @@ def test_ktns_rejects_corruption(tmp_path):
     padded.write_bytes(raw + b"\xff")
     with pytest.raises(ValueError, match="trailing"):
         read_ktns(padded)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["weights", "factor"])
+def test_ktns_rejects_non_finite(tmp_path, bad, where):
+    kt = KTensor([np.ones((3, 2)), np.ones((4, 2))])
+    if where == "weights":
+        kt.weights[1] = bad
+    else:
+        kt.factors[1][2, 0] = bad
+    p = tmp_path / "bad.ktns"
+    write_ktns(p, kt)
+    with pytest.raises(ValueError, match="bad.ktns: .*NaN or Inf"):
+        read_ktns(p)
 
 
 @pytest.mark.parametrize("order, rank, shape", [

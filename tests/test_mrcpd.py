@@ -1,6 +1,7 @@
 """Mode-reduction pipeline: split planning, compression, merged-factor
 recovery, the certified error bound, and the end-to-end decomposition."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,10 +226,67 @@ def test_verify_error_bound_accepts_and_rejects():
     assert bad.bound == pytest.approx(err / 2, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       J=st.integers(1, 4), seed=st.integers(0, 2 ** 30),
+       layout=st.sampled_from(["C", "F", "view"]))
+def test_residual_norm_matches_dense_difference(shape, J, seed, layout):
+    rng = np.random.default_rng(seed)
+    kt = KTensor([rng.standard_normal((s, J)) for s in shape],
+                 rng.uniform(0.5, 2.0, J))
+    if layout == "view":
+        # a transposed view: neither C- nor F-contiguous in general
+        perm = rng.permutation(len(shape))
+        T = np.transpose(rng.standard_normal([shape[p] for p in perm]),
+                         np.argsort(perm))
+    else:
+        T = np.asarray(rng.standard_normal(shape), order=layout)
+    want = np.linalg.norm(T - reconstruct(kt))
+    assert mrcpd._residual_norm(T, kt) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, J", [((12,) * 5, 30), ((60, 50, 40), 8)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_verify_error_bound_allocates_one_tensor(shape, J, layout):
+    est = normalize(gen_random_ktensor(shape, J, seed=84))
+    noise = np.random.default_rng(85).standard_normal(shape)
+    T = np.asarray(reconstruct(est) + 0.01 * noise, order=layout)
+    tracemalloc.start()
+    try:
+        rep = verify_error_bound(T, est, fit3=1.0, eps_k=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.final_err == pytest.approx(
+        0.01 * np.linalg.norm(noise), rel=1e-9)
+    assert peak <= 1.5 * T.nbytes
+
+
+def test_pipeline_residuals_share_one_rule(monkeypatch):
+    # fit3 (on the merged tensor) and final_err (on the input) both come
+    # from _residual_norm
+    seen = []
+    real = mrcpd._residual_norm
+
+    def spy(T, kt):
+        seen.append(T.shape)
+        return real(T, kt)
+
+    monkeypatch.setattr(mrcpd, "_residual_norm", spy)
+    T = reconstruct(gen_random_ktensor((4, 3, 5, 2), 2, seed=86))
+    split = ModeSplit((0, 1, 2, 3), (0, 1, 2, 4))
+    _, _, bound = mrcpd_decompose(T, 2, MrcpdOptions(
+        split=split, solver_opts=solver_opts(0)))
+    assert seen == [(4, 3, 10), (4, 3, 5, 2)]
+    assert bound.holds
+
+
 def test_verify_error_bound_requires_normalized_estimate():
     kt = gen_random_ktensor((4, 4, 4), 2, seed=80)   # raw normal columns
     with pytest.raises(ValueError, match="normalized"):
         verify_error_bound(reconstruct(kt), kt, 0.0, 0.0)
+    with pytest.raises(ValueError, match="does not match"):
+        verify_error_bound(reconstruct(kt)[:, :, :1], normalize(kt), 0.0, 0.0)
 
 
 def test_bound_pieces_from_exact_pipeline():

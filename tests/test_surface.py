@@ -32,8 +32,7 @@ def test_exported_names():
         "ls_solve", "match_factors", "matricize", "mode_contract",
         "mode_rank", "mrcpd_decompose", "msir", "normalize",
         "plan_unfolding", "rank1_parallel_extract", "rank1_power_iteration",
-        "read_ktns", "read_tnsr", "reconstruct", "reconstruct_matricized",
-        "recover_merged_factor", "reduce_modes", "register_solver",
+        "read_ktns", "read_tnsr", "reconstruct", "recover_merged_factor", "reduce_modes", "register_solver",
         "run_benchmark", "sim1_config", "sim2_config", "summarize",
         "tensor_from_vec", "tensorize", "vectorize", "verify_error_bound",
         "write_csv", "write_ktns", "write_tnsr"]
