@@ -23,6 +23,9 @@ from .synth import add_noise, gen_bottleneck_ktensor, gen_random_ktensor
 CSV_COLUMNS = ("method", "run", "fit_noiseless", "fit_observed", "msir_mean",
                "runtime_s", "converged", "eps_k", "bound_slack")
 
+BENCH_METHODS = ("als", "mrcpd")
+BENCH_TOL = 1e-8
+GCR_THRESHOLD = 0.99
 MRCPD_BENCH_RESTARTS = 6
 # cfg.max_iters caps the baseline solver, matching the usual comparison
 # protocol.  The inner 3-way solve is a sub-step of the mode-reduced
@@ -39,10 +42,7 @@ class BenchConfig:
     snr_db: float | None
     runs: int
     seed: int
-    methods: tuple[str, ...] = ("als", "mrcpd")
     max_iters: int = 100
-    tol: float = 1e-8
-    gcr_threshold: float = 0.99
 
     def __post_init__(self):
         if self.runs < 1:
@@ -91,29 +91,27 @@ def run_benchmark(cfg: BenchConfig, out_csv=None) -> list[RunRecord]:
     records: list[RunRecord] = []
     run_streams = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
     for r, stream in enumerate(run_streams):
-        data_ss, noise_ss, *method_ss = stream.spawn(2 + len(cfg.methods))
+        data_ss, noise_ss, *method_ss = stream.spawn(2 + len(BENCH_METHODS))
         truth = _gen_truth(cfg, data_ss)
         Y_true = reconstruct(truth)
         Y_obs = add_noise(Y_true, cfg.snr_db, noise_ss)
-        for method, mss in zip(cfg.methods, method_ss):
+        for method, mss in zip(BENCH_METHODS, method_ss):
             eps_k = bound_slack = None
             if method == "als":
-                sopts = SolverOptions(max_iters=cfg.max_iters, tol=cfg.tol,
+                sopts = SolverOptions(max_iters=cfg.max_iters, tol=BENCH_TOL,
                                       seed=mss)
                 est, rep = cp_als(Y_obs, cfg.rank, sopts)
-            elif method == "mrcpd":
+            else:
                 # The 3-way solves are cheap after compression, so buy
                 # local-minimum insurance with a handful of restarts.
                 sopts = SolverOptions(max_iters=MRCPD_BENCH_MAX_ITERS,
-                                      tol=cfg.tol, seed=mss)
+                                      tol=BENCH_TOL, seed=mss)
                 mopts = MrcpdOptions(solver_opts=sopts,
                                      compression=Compression("svd"),
                                      restarts=MRCPD_BENCH_RESTARTS)
                 est, rep, breport = mrcpd_decompose(Y_obs, cfg.rank, mopts)
                 eps_k = breport.eps_k
                 bound_slack = breport.bound - breport.final_err
-            else:
-                raise ValueError(f"unknown benchmark method {method!r}")
             # One dense model per estimate, freed before the next solve.
             Y_est = reconstruct(est)
             fits = fit(Y_true, Y_est), fit(Y_obs, Y_est)
@@ -157,7 +155,7 @@ def gcr(records, threshold: float, method: str) -> float:
     return 100.0 * hits / len(rows)
 
 
-def summarize(records, threshold: float = 0.99) -> dict:
+def summarize(records, threshold: float = GCR_THRESHOLD) -> dict:
     """Per-method GCR, median runtime, and mean mSIR."""
     out = {}
     for method in dict.fromkeys(rec.method for rec in records):

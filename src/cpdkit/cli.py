@@ -2,9 +2,9 @@
 
 Subcommands: ``decompose`` (fit a tensor file, write factors), ``bench``
 (Monte-Carlo comparisons to CSV), ``analyze`` (rank / uniqueness report),
-``krproj`` (project a merged factor matrix).  Mode numbers on the command
-line are 1-based; a split is written as groups separated by ``|`` with
-modes separated by commas, e.g. ``"1|2,3|4,5"``.
+``krproj`` (print the KR projection residual of a merged factor matrix).
+Mode numbers on the command line are 1-based; a split is written as groups
+separated by ``|`` with modes separated by commas, e.g. ``"1|2,3|4,5"``.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _cmd_bench(args) -> int:
         cfg = sim2_config(args.runs, args.seed,
                           50 if args.scale is None else args.scale)
     records = run_benchmark(cfg, out_csv=args.out)
-    for method, stats in summarize(records, cfg.gcr_threshold).items():
+    for method, stats in summarize(records).items():
         print(f"method={method} gcr_pct={stats['gcr_pct']:.1f} "
               f"median_runtime_s={stats['median_runtime_s']:.3f} "
               f"mean_msir_db={stats['mean_msir_db']:.2f} "
@@ -184,7 +184,7 @@ def _cmd_krproj(args) -> int:
                          f"{H.ndim}")
     sizes = [_parse_int("--shape", tok) for tok in args.shape.split(",")
              if tok.strip()]
-    factors, eps = kr_project(H, sizes, nonneg=args.nonneg)
+    _, eps = kr_project(H, sizes, nonneg=args.nonneg)
     print(f"eps_k={eps!r}")
     return 0
 
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--rank", type=int, default=None)
     a.set_defaults(func=_cmd_analyze)
 
-    k = sub.add_parser("krproj", help="project a merged factor matrix")
+    k = sub.add_parser("krproj", help="print the KR projection residual eps_k")
     k.add_argument("--input", required=True,
                    help="order-2 tensor file holding the merged factor")
     k.add_argument("--shape", required=True, help='mode sizes, e.g. "4,5"')

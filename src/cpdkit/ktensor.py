@@ -9,7 +9,6 @@ which is why every comparison here goes through explicit matching.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from math import prod
 
@@ -17,11 +16,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .linalg import khatri_rao
-from .tensor import _read_exact
+from .tensor import _read_container, _write_container
 from .uniqueness import collinearity
 
 KTNS_MAGIC = b"KTNS"
-KTNS_VERSION = 1
 
 MSIR_CAP_DB = 300.0
 
@@ -213,14 +211,8 @@ def write_ktns(path, kt: KTensor) -> None:
     order N, uint32 rank J, N uint64 mode sizes, J float64 weights, then each
     factor as float64 entries in column-major order.  Little-endian.
     """
-    with open(path, "wb") as f:
-        f.write(KTNS_MAGIC)
-        f.write(struct.pack("<B", KTNS_VERSION))
-        f.write(struct.pack("<II", kt.order, kt.rank))
-        f.write(struct.pack(f"<{kt.order}Q", *kt.shape))
-        f.write(kt.weights.astype("<f8").tobytes())
-        for A in kt.factors:
-            f.write(A.ravel(order="F").astype("<f8").tobytes())
+    _write_container(path, KTNS_MAGIC, (kt.order, kt.rank), kt.shape,
+                     (kt.weights, *kt.factors))
 
 
 def read_ktns(path) -> KTensor:
@@ -228,24 +220,10 @@ def read_ktns(path) -> KTensor:
 
     NaN or Inf weights or factor entries are rejected, naming the file.
     """
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != KTNS_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {KTNS_MAGIC!r}")
-        version, order, J = struct.unpack("<BII",
-                                          _read_exact(path, f, 9, "header"))
-        if version != KTNS_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        if order < 1 or J < 1:
-            raise ValueError(f"{path}: bad header (order={order}, rank={J})")
-        shape = struct.unpack(f"<{order}Q", _read_exact(path, f, 8 * order,
-                                                         f"{order} mode sizes"))
-        count = J * (1 + sum(shape))
-        raw = _read_exact(path, f, 8 * count, f"{count} weights and factor "
-                          "entries")
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after payload")
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    (_, J), shape, values = _read_container(
+        path, KTNS_MAGIC, 2, "bad header (order={0}, rank={1})",
+        lambda counts, shape: counts[1] * (1 + sum(shape)),
+        "weights and factor entries")
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: weights or factors have NaN or Inf entries")
     weights, factors, at = values[:J], [], J

@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 TNSR_MAGIC = b"TNSR"
-TNSR_VERSION = 1
+FORMAT_VERSION = 1    # of both binary containers, ``.tnsr`` and ``.ktns``
 
 
 def _as_tensor(T) -> np.ndarray:
@@ -178,14 +178,55 @@ def mode_contract(T, vectors, skip: int) -> np.ndarray:
     return out
 
 
-def _read_exact(path, f, nbytes: int, what: str) -> bytes:
-    """Read ``nbytes`` from ``f`` after checking the file still holds them,
-    so a forged size in a header is never handed to ``read``."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if nbytes > left:
-        raise ValueError(f"{path}: truncated payload, expected {what} "
-                         f"({nbytes} bytes), {left} bytes left")
-    return f.read(nbytes)
+def _write_container(path, magic: bytes, counts, shape, payload) -> None:
+    """Write ``magic``, version byte 1, uint32 ``counts``, uint64 ``shape``,
+    then each ``payload`` array as little-endian float64 in column-major
+    order: the container of ``.tnsr`` and ``.ktns``.  An F-contiguous array
+    is written from its own buffer, any other from one F-ordered copy."""
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack(f"<B{len(counts)}I{len(shape)}Q",
+                                    FORMAT_VERSION, *counts, *shape))
+        for A in payload:
+            f.write(np.ravel(A, order="F").astype("<f8", copy=False))
+
+
+def _read_container(path, magic: bytes, n_counts: int, bad_counts: str,
+                    payload_size, label: str):
+    """Read what :func:`_write_container` wrote: ``(counts, shape, values)``.
+
+    Counts below 1 raise ``bad_counts.format(*counts)``.  The first count
+    is the number of mode sizes; ``payload_size(counts, shape)`` entries,
+    named ``label``, follow them.  Every claimed size is checked against the
+    file length before anything is allocated, so a forged size is never
+    handed to ``read``, and the payload is read into one new array.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def claim(nbytes, what, left):
+            if nbytes > left:
+                raise ValueError(f"{path}: truncated payload, expected {what} "
+                                 f"({nbytes} bytes), {left} bytes left")
+            return nbytes
+
+        found = f.read(len(magic))
+        if found != magic:
+            raise ValueError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        version, *counts = struct.unpack(f"<B{n_counts}I", f.read(
+            claim(1 + 4 * n_counts, "header", size - f.tell())))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        if min(counts) < 1:
+            raise ValueError(f"{path}: " + bad_counts.format(*counts))
+        shape = struct.unpack(f"<{counts[0]}Q", f.read(claim(
+            8 * counts[0], f"{counts[0]} mode sizes", size - f.tell())))
+        count = payload_size(counts, shape)
+        what = f"{count} {label}"
+        values = np.empty(claim(8 * count, what, size - f.tell()) // 8, "<f8")
+        claim(values.nbytes, what, f.readinto(values))    # short read
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after payload")
+    return counts, shape, values
 
 
 def write_tnsr(path, T) -> None:
@@ -195,30 +236,12 @@ def write_tnsr(path, T) -> None:
     sizes, then float64 entries in canonical order.  All fields little-endian.
     """
     T = _as_tensor(T)
-    with open(path, "wb") as f:
-        f.write(TNSR_MAGIC)
-        f.write(struct.pack("<B", TNSR_VERSION))
-        f.write(struct.pack("<I", T.ndim))
-        f.write(struct.pack(f"<{T.ndim}Q", *T.shape))
-        f.write(vectorize(T).astype("<f8").tobytes())
+    _write_container(path, TNSR_MAGIC, (T.ndim,), T.shape, (T,))
 
 
 def read_tnsr(path) -> np.ndarray:
-    """Read a tensor written by :func:`write_tnsr`."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TNSR_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {TNSR_MAGIC!r}")
-        version, order = struct.unpack("<BI", _read_exact(path, f, 5, "header"))
-        if version != TNSR_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        if order < 1:
-            raise ValueError(f"{path}: order must be positive, got {order}")
-        shape = struct.unpack(f"<{order}Q", _read_exact(path, f, 8 * order,
-                                                         f"{order} mode sizes"))
-        count = prod(shape)
-        data = np.frombuffer(_read_exact(path, f, 8 * count,
-                                         f"{count} values"), dtype="<f8")
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after payload")
-    return tensor_from_vec(data.astype(np.float64), shape)
+    """Read a tensor written by :func:`write_tnsr` (F-contiguous, writeable)."""
+    _, shape, values = _read_container(
+        path, TNSR_MAGIC, 1, "order must be positive, got {0}",
+        lambda counts, shape: prod(shape), "values")
+    return tensor_from_vec(values, shape)

@@ -73,11 +73,6 @@ def test_run_benchmark_seed_changes_data():
     assert a[0].fit_observed != b[0].fit_observed
 
 
-def test_run_benchmark_unknown_method():
-    with pytest.raises(ValueError, match="unknown benchmark method"):
-        run_benchmark(tiny_config(methods=("als", "newton")))
-
-
 def fake_records():
     mk = lambda m, r, f, rt, ms: RunRecord(
         method=m, run=r, fit_noiseless=f, fit_observed=f, msir_mean=ms,

@@ -224,6 +224,26 @@ def test_ktns_round_trip(tmp_path):
         assert np.array_equal(A, B)
 
 
+def test_ktns_write_side_bytes(tmp_path):
+    # the writer's bytes, pinned against a hand-packed layout; a C-ordered
+    # and an F-ordered factor are both written column-major
+    rng = np.random.default_rng(30)
+    kt = KTensor([rng.standard_normal((4, 2)), rng.standard_normal((3, 2))],
+                 rng.uniform(0.5, 2.0, 2))
+    kt.factors[1] = rng.standard_normal((2, 3)).T
+    p = tmp_path / "f.ktns"
+    write_ktns(p, kt)
+    assert p.read_bytes() == (
+        KTNS_MAGIC + struct.pack("<BII2Q", 1, 2, 2, 4, 3)
+        + struct.pack("<2d", *kt.weights)
+        + struct.pack("<8d", *kt.factors[0].T.ravel())
+        + struct.pack("<6d", *kt.factors[1].T.ravel()))
+    back = read_ktns(p)
+    assert back.weights.tobytes() == kt.weights.tobytes()
+    for A, B in zip(back.factors, kt.factors):
+        assert A.tobytes(order="F") == B.tobytes(order="F")
+
+
 def test_ktns_rejects_corruption(tmp_path):
     kt = KTensor([np.arange(6.0).reshape(3, 2), np.ones((2, 2))])
     good = tmp_path / "good.ktns"

@@ -2,6 +2,7 @@
 mode-reduction pipeline, the Khatri-Rao fitters, the rank tests and the
 CLI take.  Adding or removing any of them changes this test on purpose."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -9,6 +10,7 @@ import shlex
 from pathlib import Path
 
 import cpdkit
+from cpdkit.bench import BenchConfig
 from cpdkit.cli import build_parser
 from cpdkit.krproj import kr_project, rank1_power_iteration
 from cpdkit.mrcpd import Compression, MrcpdOptions, compress_mode
@@ -41,6 +43,11 @@ def test_exported_names():
 def test_mrcpd_options_fields():
     assert [f.name for f in dataclasses.fields(MrcpdOptions)] == [
         "split", "solver_opts", "nonneg", "compression", "restarts"]
+
+
+def test_bench_config_fields():
+    assert [f.name for f in dataclasses.fields(BenchConfig)] == [
+        "name", "shape", "rank", "snr_db", "runs", "seed", "max_iters"]
 
 
 def test_compression_fields():
@@ -87,3 +94,20 @@ def test_readme_commands_parse():
                                         "bench"}
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_only_tensor_packs_binary_layouts():
+    # the .tnsr/.ktns container codec lives in tensor.py alone: no other
+    # module imports struct, so the layout cannot fork again
+    importers = set()
+    for path in Path(cpdkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "struct" in names:
+                importers.add(path.name)
+    assert importers == {"tensor.py"}

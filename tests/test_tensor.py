@@ -2,6 +2,7 @@
 so a silent switch to C-order raveling cannot pass."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,48 @@ def test_tnsr_byte_layout(tmp_path):
     p.write_bytes(TNSR_MAGIC + struct.pack("<BIQ", 1, 1, 2)
                   + struct.pack("<2d", 1.5, -2.0))
     assert np.array_equal(read_tnsr(p), [1.5, -2.0])
+
+
+def layout(kind, shape, seed=0):
+    """One tensor of ``shape`` in C order, F order, or as a strided view."""
+    rng = np.random.default_rng(seed)
+    if kind == "strided":
+        return rng.standard_normal((2 * shape[0],) + shape[1:])[::2]
+    T = rng.standard_normal(shape)
+    return np.asfortranarray(T) if kind == "F" else T
+
+
+@pytest.mark.parametrize("kind", ["C", "F", "strided"])
+def test_tnsr_write_side_bytes(tmp_path, kind):
+    # the writer's bytes, pinned against a hand-packed header and payload
+    T = layout(kind, (3, 4, 2, 5))
+    p = tmp_path / "t.tnsr"
+    write_tnsr(p, T)
+    assert p.read_bytes() == (TNSR_MAGIC + struct.pack("<BI4Q", 1, 4, *T.shape)
+                              + np.ravel(T, order="F").astype("<f8").tobytes())
+    back = read_tnsr(p)
+    assert back.dtype == np.float64 and back.shape == T.shape
+    assert back.flags.f_contiguous and back.flags.writeable
+    assert back.tobytes(order="F") == T.tobytes(order="F")
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["C", "F", "strided"])
+def test_tnsr_io_holds_one_copy(tmp_path, kind):
+    # a writer copies the payload at most once, a reader reads the file
+    # straight into the array it returns
+    T = layout(kind, (12,) * 5)
+    p = tmp_path / "t.tnsr"
+    assert traced_peak(lambda: write_tnsr(p, T)) <= 1.1 * T.nbytes
+    assert traced_peak(lambda: read_tnsr(p)) <= 1.1 * T.nbytes
 
 
 def test_tnsr_rejects_corruption(tmp_path):
