@@ -17,7 +17,7 @@ import numpy as np
 
 from .als import SolverOptions, cp_als
 from .ktensor import fit, msir, reconstruct
-from .mrcpd import Compression, MrcpdOptions, mrcpd_decompose
+from .mrcpd import INNER_MAX_ITERS, MrcpdOptions, mrcpd_decompose
 from .synth import add_noise, gen_bottleneck_ktensor, gen_random_ktensor
 
 CSV_COLUMNS = ("method", "run", "fit_noiseless", "fit_observed", "msir_mean",
@@ -27,11 +27,6 @@ BENCH_METHODS = ("als", "mrcpd")
 BENCH_TOL = 1e-8
 GCR_THRESHOLD = 0.99
 MRCPD_BENCH_RESTARTS = 6
-# cfg.max_iters caps the baseline solver, matching the usual comparison
-# protocol.  The inner 3-way solve is a sub-step of the mode-reduced
-# pipeline and runs to its own convergence instead; sweeps on the reduced
-# tensor are orders of magnitude cheaper, so the larger budget is free.
-MRCPD_BENCH_MAX_ITERS = 2500
 
 
 @dataclass
@@ -42,7 +37,7 @@ class BenchConfig:
     snr_db: float | None
     runs: int
     seed: int
-    max_iters: int = 100
+    max_iters: int = 100          # the direct solver's sweep cap only
 
     def __post_init__(self):
         if self.runs < 1:
@@ -104,10 +99,9 @@ def run_benchmark(cfg: BenchConfig, out_csv=None) -> list[RunRecord]:
             else:
                 # The 3-way solves are cheap after compression, so buy
                 # local-minimum insurance with a handful of restarts.
-                sopts = SolverOptions(max_iters=MRCPD_BENCH_MAX_ITERS,
+                sopts = SolverOptions(max_iters=INNER_MAX_ITERS,
                                       tol=BENCH_TOL, seed=mss)
                 mopts = MrcpdOptions(solver_opts=sopts,
-                                     compression=Compression("svd"),
                                      restarts=MRCPD_BENCH_RESTARTS)
                 est, rep, breport = mrcpd_decompose(Y_obs, cfg.rank, mopts)
                 eps_k = breport.eps_k

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from .als import SolverOptions, cp_als
 from .bench import run_benchmark, sim1_config, sim2_config, summarize
 from .krproj import kr_project
 from .ktensor import KTNS_MAGIC, read_ktns, write_ktns
-from .mrcpd import Compression, MrcpdOptions, mrcpd_decompose, plan_unfolding
+from .mrcpd import (INNER_MAX_ITERS, MrcpdOptions, mrcpd_decompose,
+                    plan_unfolding)
 from .tensor import ModeSplit, TNSR_MAGIC, read_tnsr
 from .uniqueness import (KRUSKAL_RANK_MAX_COLS, check_unfolded_uniqueness,
                          ksb_check, kruskal_rank, mode_rank)
@@ -69,13 +71,15 @@ def _parse_int(flag: str, token: str) -> int:
 def _cmd_decompose(args) -> int:
     if args.method == "als":
         for flag, value, default in (("--split", args.split, None),
-                                     ("--compress", args.compress, False),
                                      ("--nonneg", args.nonneg, False)):
             if value != default:
                 raise ValueError(f"{flag} is for --method mrcpd; "
                                  "--method als does not use it")
     T = read_tnsr(args.input)
     init = read_ktns(args.init) if args.init else None
+    if args.max_iters is None:
+        args.max_iters = (INNER_MAX_ITERS if args.method == "mrcpd"
+                          else SolverOptions.max_iters)
     sopts = SolverOptions(max_iters=args.max_iters, tol=args.solver_tol,
                           seed=args.seed, init=init)
     if args.method == "als":
@@ -87,8 +91,7 @@ def _cmd_decompose(args) -> int:
         opts = MrcpdOptions(
             split=parse_split(args.split) if args.split else None,
             solver_opts=sopts,
-            nonneg=args.nonneg,
-            compression=Compression("svd") if args.compress else None)
+            nonneg=args.nonneg)
         kt, rep, bound = mrcpd_decompose(T, args.rank, opts)
         norm_t = float(np.linalg.norm(T))
         print(f"method=mrcpd fit={float(1.0 - bound.final_err / norm_t)!r} "
@@ -142,7 +145,7 @@ def _analyze_ktensor(kt) -> int:
         kranks = [kruskal_rank(A) for A in kt.factors]
         print(f"factor kruskal ranks: {kranks}")
     else:
-        kranks = [max(1, min(mode_rank(A, 0), J)) for A in kt.factors]
+        kranks = [max(1, mode_rank(A, 0, cap=J)) for A in kt.factors]
         print(f"factor krank estimates (rank-based, {J} columns is too many "
               f"for the exact test): {kranks}")
     _report_uniqueness(kranks, J, kt.order)
@@ -201,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--split", default=None,
                    help='mode groups, e.g. "1|2,3|4,5" (mrcpd only)')
     d.add_argument("--solver-tol", type=float, default=1e-8)
-    d.add_argument("--max-iters", type=int, default=100)
+    d.add_argument("--max-iters", type=int, default=None,
+                   help="sweep cap of the ALS solve (default "
+                        f"{SolverOptions.max_iters} for als, "
+                        f"{INNER_MAX_ITERS} for mrcpd's inner solve)")
     d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--compress", action="store_true",
-                   help="shrink the largest merged mode to RANK whitened "
-                        "SVD directions before the inner solve (mrcpd only)")
     d.add_argument("--nonneg", action="store_true",
                    help="nonnegative KR projection (mrcpd only; runs the "
                         "power fitter)")
@@ -238,13 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _warning_line(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            if getattr(args, "seed", None) is not None and args.seed < 0:
+                raise ValueError(f"--seed: '{args.seed}' is negative; seeds "
+                                 "are non-negative integers")
+            return args.func(args)
+        except (ValueError, RuntimeError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """CP decomposition of high-order tensors through a third-order detour.
 
 The pipeline is one path: pick (or accept) a three-group mode split, merge
-the grouped modes, optionally shrink the largest merged mode to J whitened
+the grouped modes, shrink the largest merged mode to at most J whitened
 SVD directions, run the solver registered as ``"als"`` on the third-order
 tensor (keeping the best of several restarts), re-estimate the compressed
 mode's factor by least squares against the uncompressed merged tensor, and
@@ -32,17 +32,17 @@ from .tensor import ModeSplit, matricize, reduce_modes, tensorize
 from .uniqueness import krank_product_bound, mode_rank
 
 BOUND_SLACK_REL = 1e-9
+# Inner sweep cap for library, CLI and bench: the compressed core is cheap.
+INNER_MAX_ITERS = 2500
 
 
 @dataclass(frozen=True)
 class Compression:
     """Compression of the merged tensor before the third-order solve.
 
-    There is one kind, ``"svd"``: the largest merged mode is projected onto
-    its J leading left singular directions and whitened (see
-    :func:`compress_mode`).  ``MrcpdOptions(compression=None)`` turns it
-    off.  The type is kept, rather than a bool, because the benchmark
-    harness in ``perfbench/`` builds ``Compression("svd")``.
+    There is one kind, ``"svd"`` (see :func:`compress_mode`), and it is
+    always on.  The type exists only because the benchmark harness in
+    ``perfbench/`` builds ``Compression("svd")``.
     """
 
     kind: str
@@ -58,23 +58,26 @@ class MrcpdOptions:
     """Knobs for :func:`mrcpd_decompose`.
 
     ``split=None`` plans the unfolding automatically from J-capped mode
-    ranks (:func:`mode_rank`).  ``solver_opts`` drives every inner solve;
-    its ``init`` must be ``None``, because the inner solver sees the merged
-    third-order tensor, which an order-N starting point does not fit.
-    ``nonneg`` is passed to :func:`kr_project`, where it picks the fitter:
-    the SVD fit without it, nonnegative power iterations with it.
-    ``compression`` shrinks the largest merged mode to J directions before
-    the inner solve (see :class:`Compression`).  ``restarts`` reruns the
-    inner solver from fresh seeds and keeps the best fit.
+    ranks (:func:`mode_rank`).  ``solver_opts`` (default: ``INNER_MAX_ITERS``
+    sweeps) drives every inner solve; its ``init`` must be ``None``, because
+    the inner solver sees the merged third-order tensor, which an order-N
+    starting point does not fit.  ``nonneg`` is passed to :func:`kr_project`,
+    where it picks the fitter: the SVD fit without it, nonnegative power
+    iterations with it.  ``compression`` is always ``Compression("svd")``
+    (kept for ``perfbench/``).  ``restarts`` reruns the inner solver from
+    fresh seeds and keeps the best fit.
     """
 
     split: ModeSplit | None = None
-    solver_opts: SolverOptions = field(default_factory=SolverOptions)
+    solver_opts: SolverOptions = field(
+        default_factory=lambda: SolverOptions(max_iters=INNER_MAX_ITERS))
     nonneg: bool = False
-    compression: Compression | None = None
+    compression: Compression = Compression("svd")
     restarts: int = 1
 
     def __post_init__(self):
+        if self.compression is None:
+            raise ValueError("compression is always on; None is not allowed")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -135,14 +138,15 @@ def plan_unfolding(kranks, J: int) -> ModeSplit:
 
 
 def compress_mode(T3, mode: int, width: int):
-    """Shrink one mode of a tensor to ``width`` whitened SVD directions.
+    """Shrink one mode of a tensor to at most ``width`` whitened directions.
 
     Projects the mode-``mode`` matricization onto its leading ``width``
-    left singular vectors and whitens (new matricization ``inv(D) U^T M``).
-    A ``width`` at or above the mode size is a no-op.  Each basis column is
-    signed so that its first entry above ``1e-12`` of its peak is
-    nonnegative, which makes the result independent of the signs the
-    factorization picks.
+    left singular vectors, or its numerical rank r of them (counted with
+    :func:`pinv_cutoff`, so they keep the data) if r is smaller, and whitens
+    (new matricization ``inv(D) U^T M``).  A ``width`` at or above the mode
+    size is a no-op.  Each factored singular vector is signed so that its
+    first entry above ``1e-12`` of its peak is nonnegative, which makes the
+    result independent of the signs the factorization picks.
 
     Returns the compressed tensor.  Nothing is kept to undo the
     compression: the pipeline re-estimates the compressed mode's factor by
@@ -157,22 +161,21 @@ def compress_mode(T3, mode: int, width: int):
     if width >= T3.shape[mode]:
         return T3
     M = matricize(T3, mode)
-    if width > M.shape[1]:
-        raise ValueError(f"cannot keep {width} singular directions of a "
-                         f"{M.shape} matricization")
     cutoff = pinv_cutoff(M)
     wide = M.shape[0] <= M.shape[1]
     # Factor the short side; for a tall M that gives its right pairs.
-    W, s = left_singular_pairs(M if wide else M.T, cutoff, width)
-    if s[-1] <= cutoff * s[0]:
-        raise ValueError(f"mode {mode} has numerical rank below {width}; "
-                         "svd compression would divide by a negligible "
-                         "singular value")
-    U = W if wide else (M @ W) / s
-    U = U * _column_signs(U)
+    W, s = left_singular_pairs(M if wide else M.T, cutoff,
+                               min(width, *M.shape))
+    r = int(np.sum(s > cutoff * s[0]))
+    if r == 0:
+        raise ValueError("cannot compress an all-zero tensor")
+    W = W[:, :r] * _column_signs(W[:, :r])
+    # A tall M is U diag(s) W^T, so its whitened rows are W^T exactly;
+    # forming U first would lose them when a kept s is tiny.
+    rows = (W / s[:r]).T @ M if wide else W.T
     shape = list(T3.shape)
-    shape[mode] = width
-    return tensorize((U / s).T @ M, tuple(shape), mode)
+    shape[mode] = r
+    return tensorize(rows, tuple(shape), mode)
 
 
 def recover_merged_factor(Y3, k: int, known_factors):
@@ -296,7 +299,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     start = perf_counter()
     split = opts.split
     if split is None:
-        estimates = [max(1, min(mode_rank(T, n), J)) for n in range(T.ndim)]
+        estimates = [max(1, mode_rank(T, n, cap=J)) for n in range(T.ndim)]
         split = plan_unfolding(estimates, J)
     if len(split.perm) != T.ndim:
         raise ValueError(f"split covers {len(split.perm)} modes, tensor has "
@@ -307,7 +310,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     Y3 = reduce_modes(T, split)
 
     m = int(np.argmax(Y3.shape))
-    Y3s = Y3 if opts.compression is None else compress_mode(Y3, m, J)
+    Y3s = compress_mode(Y3, m, J)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)
     if Y3s.shape != Y3.shape:

@@ -133,17 +133,20 @@ def check_unfolded_uniqueness(kranks, J: int, split: ModeSplit) -> UniquenessRep
                             satisfied=base.satisfied, group_bounds=bounds)
 
 
-def mode_rank(T, n: int) -> int:
-    """Numerical rank of the mode-``n`` matricization.
+def mode_rank(T, n: int, cap: int | None = None) -> int:
+    """Numerical rank of the mode-``n`` matricization, at most ``cap``.
 
     Singular values up to ``RANK_RTOL`` times the largest count as zero.
     The count agrees with a full SVD's; well-conditioned modes get it from
-    the Gram matrix (see :func:`~cpdkit.linalg.left_singular_pairs`).
+    the Gram matrix (see :func:`~cpdkit.linalg.left_singular_pairs`).  A
+    ``cap`` asks only for the ``cap`` leading singular values, so the
+    result is ``min(rank, cap)`` at less cost.
     """
     M = matricize(T, n)
     if M.size == 0:
         return 0
     # Only the singular values matter, so factor the wide orientation.
-    _, s = left_singular_pairs(M if M.shape[0] <= M.shape[1] else M.T,
-                               RANK_RTOL)
+    W = M if M.shape[0] <= M.shape[1] else M.T
+    _, s = left_singular_pairs(W, RANK_RTOL,
+                               None if cap is None else min(cap, W.shape[0]))
     return _rank(s)

@@ -15,8 +15,8 @@ from cpdkit.cli import (
 from cpdkit.als import SolverOptions
 from cpdkit.ktensor import KTensor, fit, read_ktns, reconstruct, write_ktns
 from cpdkit.linalg import khatri_rao
-from cpdkit.mrcpd import Compression, MrcpdOptions, mrcpd_decompose
-from cpdkit.synth import gen_random_ktensor
+from cpdkit.mrcpd import INNER_MAX_ITERS, MrcpdOptions, mrcpd_decompose
+from cpdkit.synth import gen_bottleneck_ktensor, gen_random_ktensor
 from cpdkit.tensor import ModeSplit, write_tnsr
 
 
@@ -157,27 +157,73 @@ def test_nonneg_decompose_keeps_unconstrained_fit(tmp_path, capsys):
     assert abs(fits[1] - fits[0]) <= 1e-6
 
 
-def test_decompose_compress_matches_library(tmp_path):
-    # --compress is Compression("svd"): the largest merged mode, J directions
-    T = reconstruct(gen_random_ktensor((6, 5, 4, 7), 3, seed=5))
+def test_decompose_mrcpd_defaults_match_library(tmp_path, capsys):
+    # the CLI's mrcpd defaults are the library's: compression on and the
+    # inner sweep budget INNER_MAX_ITERS, which this problem needs past 100
+    T = reconstruct(gen_bottleneck_ktensor(10, 5, seed=2))
     inp = tmp_path / "t.tnsr"
     outp = tmp_path / "est.ktns"
     write_tnsr(inp, T)
-    assert main(["decompose", "--input", str(inp), "--rank", "3",
-                 "--method", "mrcpd", "--split", "1|2,3|4", "--seed", "3",
-                 "--compress", "--output", str(outp)]) == 0
-    want, _, _ = mrcpd_decompose(T, 3, MrcpdOptions(
-        split=parse_split("1|2,3|4"), compression=Compression("svd"),
-        solver_opts=SolverOptions(max_iters=100, tol=1e-8, seed=3)))
+    assert main(["decompose", "--input", str(inp), "--rank", "5",
+                 "--method", "mrcpd", "--seed", "3",
+                 "--output", str(outp)]) == 0
+    line = capsys.readouterr().out
+    assert int(line.split("iterations=")[1].split()[0]) > 100
+    assert "converged=True" in line
+    want, _, _ = mrcpd_decompose(T, 5, MrcpdOptions(
+        solver_opts=SolverOptions(max_iters=INNER_MAX_ITERS, seed=3)))
     got = read_ktns(outp)
     assert np.array_equal(got.weights, want.weights)
     for A, B in zip(got.factors, want.factors):
         assert np.array_equal(A, B)
 
 
+def test_decompose_mrcpd_rank_deficient_merged_mode(tmp_path, capsys):
+    # merging the two sine modes 3 and 4 gives a 400-row mode of numerical
+    # rank 4 < J = 5: compression keeps its 4 directions, which keep the
+    # data, and the solve converges
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, reconstruct(gen_bottleneck_ktensor(20, 5, seed=3)))
+    assert main(["decompose", "--input", str(inp), "--rank", "5",
+                 "--method", "mrcpd", "--split", "3,4|1|2,5", "--seed", "0",
+                 "--output", str(tmp_path / "est.ktns")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert float(captured.out.split("fit=")[1].split()[0]) >= 0.9999
+
+
+def test_negative_seed_names_the_flag(tmp_path, capsys):
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, np.ones((3, 3, 3)))
+    for seed, argv in (
+            ("-1", ["decompose", "--input", str(inp), "--rank", "2",
+                    "--method", "als", "--output", str(tmp_path / "e.ktns")]),
+            ("-5", ["bench", "sim1", "--runs", "1",
+                    "--out", str(tmp_path / "b.csv")])):
+        assert main([*argv, "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --seed: '{seed}' is negative; "
+                                "seeds are non-negative integers\n")
+        assert captured.out == ""
+    assert [f.name for f in tmp_path.iterdir()] == ["t.tnsr"]
+
+
+@pytest.mark.parametrize("method", ["als", "mrcpd"])
+def test_decompose_warning_is_one_line(tmp_path, capsys, method):
+    # a rank above the feasible rank warns in one line and still succeeds
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, np.random.default_rng(5).standard_normal((4, 3, 4, 3)))
+    assert main(["decompose", "--input", str(inp), "--rank", "200",
+                 "--method", method, "--seed", "1", "--max-iters", "5",
+                 "--output", str(tmp_path / "est.ktns")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: rank 200 exceeds the largest feasible "
+                          "rank")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--split", "1|2|3"),
-    pytest.param("--compress", None, id="--compress"),
     pytest.param("--nonneg", None, id="--nonneg")])
 def test_decompose_als_rejects_mrcpd_flags(tmp_path, capsys, flag, value):
     inp = tmp_path / "t.tnsr"

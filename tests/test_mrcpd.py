@@ -67,14 +67,20 @@ def test_plan_unfolding_validation():
 
 # ------------------------------------------------------------- compression
 
-def svd_basis(M, width):
-    """``compress_mode``'s basis ``(U, s)`` for the matricization ``M``,
-    computed in its orientation: the short side is factored, and a tall
-    ``M`` gives ``U = M W / s``; columns are then signed by the sign rule."""
+def svd_basis(M, width, kept=None):
+    """``compress_mode``'s basis ``(U, s)`` for the matricization ``M`` and
+    its whitened rows, computed in its orientation: the short side is
+    factored and its vectors ``W`` signed by the sign rule; a tall ``M``
+    gives ``U = M W / s`` and the rows ``W^T``, a wide one ``U = W`` and
+    ``(U / s)^T M``.  ``kept`` keeps only the leading pairs of those asked
+    for."""
     wide = M.shape[0] <= M.shape[1]
-    W, s = left_singular_pairs(M if wide else M.T, pinv_cutoff(M), width)
-    U = W if wide else (M @ W) / s
-    return U * _column_signs(U), s
+    W, s = left_singular_pairs(M if wide else M.T, pinv_cutoff(M),
+                               min(width, *M.shape))
+    W, s = W[:, :kept] * _column_signs(W[:, :kept]), s[:kept]
+    if wide:
+        return W, s, (W / s).T @ M
+    return (M @ W) / s, s, W.T
 
 
 def test_compress_mode_svd_preserves_low_rank():
@@ -83,8 +89,8 @@ def test_compress_mode_svd_preserves_low_rank():
     C = compress_mode(T3, 0, 3)
     assert C.shape == (3, 5, 4)
     M = matricize(T3, 0)
-    U, s = svd_basis(M, 3)
-    assert np.array_equal(matricize(C, 0), (U / s).T @ M)
+    U, s, rows = svd_basis(M, 3)
+    assert np.array_equal(matricize(C, 0), rows)
     # for exact rank-3 data the projection loses nothing:
     # U diag(s) (compressed unfolding) puts the original back
     back = U @ (matricize(C, 0) * s[:, None])
@@ -104,16 +110,13 @@ def test_compress_mode_svd_tall_mode():
     T3 = T3 + 1e-6 * np.random.default_rng(94).standard_normal(T3.shape)
     M = matricize(T3, 0)
     C = compress_mode(T3, 0, 3)
-    U, s = svd_basis(M, 3)
-    assert np.array_equal(matricize(C, 0), (U / s).T @ M)
+    U, s, rows = svd_basis(M, 3)
+    assert np.array_equal(matricize(C, 0), rows)
     U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
     assert np.allclose(s, s_full[:3], rtol=1e-10)
     assert np.allclose(U @ U.T, U_full[:, :3] @ U_full[:, :3].T, atol=1e-10)
     rows = matricize(C, 0)
     assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-9)
-    with pytest.raises(ValueError, match="singular"):
-        compress_mode(reconstruct(gen_random_ktensor((40, 3, 4), 3,
-                                                     seed=95)), 0, 5)
 
 
 def test_compress_mode_noop_paths():
@@ -131,18 +134,36 @@ def test_compress_mode_validation():
         compress_mode(T3, 5, 2)
     with pytest.raises(ValueError):
         compress_mode(T3, 0, 0)
-    with pytest.raises(ValueError, match="singular"):
-        # rank-2 data cannot support 4 whitened directions
-        compress_mode(reconstruct(gen_random_ktensor((6, 4, 3), 2, seed=76)),
-                      0, 4)
     with pytest.raises(ValueError, match="out of range"):
         compress_mode(T3, -1, 2)
+    with pytest.raises(ValueError, match="all-zero"):
+        compress_mode(np.zeros((6, 4, 3)), 0, 2)
 
 
-def full_svd_guard_raises(M, width):
-    """The compression rank guard evaluated on a full SVD."""
+@pytest.mark.parametrize("shape, rank, width, seed", [
+    ((6, 4, 3), 2, 4, 76),      # wide matricization, 6 x 12
+    ((40, 3, 4), 3, 5, 95),     # tall matricization, 40 x 12
+    ((40, 2, 3), 4, 10, 96)])   # width above the short side, 6
+def test_compress_mode_keeps_numerical_rank(shape, rank, width, seed):
+    # rank-r data below the width keeps r whitened directions, which
+    # put the unfolding back exactly
+    T3 = reconstruct(gen_random_ktensor(shape, rank, seed=seed))
+    r = min(rank, shape[1] * shape[2])
+    C = compress_mode(T3, 0, width)
+    assert C.shape == (r,) + shape[1:]
+    M = matricize(T3, 0)
+    U, s, rows = svd_basis(M, width, r)
+    assert np.array_equal(matricize(C, 0), rows)
+    assert np.allclose(rows @ rows.T, np.eye(r), atol=1e-9)
+    back = U @ (rows * s[:, None])
+    assert np.allclose(back, M, atol=1e-9 * np.abs(M).max())
+
+
+def full_svd_kept(M, width):
+    """The directions compression keeps, from a full SVD: ``width``, or
+    the numerical rank at the pseudo-inverse cutoff if that is smaller."""
     s = np.linalg.svd(M, compute_uv=False)
-    return bool(s[width - 1] <= pinv_cutoff(M) * s[0])
+    return int(min(width, np.sum(s > pinv_cutoff(M) * s[0])))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -159,13 +180,13 @@ def test_compress_mode_svd_matches_full_svd(shape, rank, extra, seed, rel):
         T3 = T3 + rel * frobenius_norm(T3) / frobenius_norm(E) * E
     M = matricize(T3, 0)
     width = min(max(1, rank + extra), shape[0] - 1, M.shape[1])
-    if full_svd_guard_raises(M, width):
-        with pytest.raises(ValueError, match="singular"):
-            compress_mode(T3, 0, width)
-        return
     C = compress_mode(T3, 0, width)
-    U, s = svd_basis(M, width)
-    assert np.array_equal(matricize(C, 0), (U / s).T @ M)
+    # a width above the numerical rank keeps the rank
+    kept = full_svd_kept(M, width)
+    assert C.shape[0] == kept
+    U, s, rows = svd_basis(M, width, kept)
+    width = kept
+    assert np.array_equal(matricize(C, 0), rows)
     U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
     # the Gram route moves squared singular values by at most
     # 2 (m + n) eps ||M||_F^2, which squares the conditioning of whitening
@@ -463,7 +484,7 @@ def test_decompose_rejects_non_finite(bad):
         mrcpd_decompose(T, 2)
 
 
-@pytest.mark.parametrize("kind", [None, "svd"])
+@pytest.mark.parametrize("kind", ["svd"])
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_pipeline_properties(kind, data):
@@ -477,7 +498,7 @@ def test_pipeline_properties(kind, data):
     b1 = data.draw(st.integers(1, N - 2))
     b2 = data.draw(st.integers(b1 + 1, N - 1))
     split = ModeSplit(data.draw(st.permutations(range(N))), (0, b1, b2, N))
-    comp = Compression(kind) if kind else None
+    comp = Compression(kind)
     truth = gen_random_ktensor(shape, R, seed=seed)
     T = reconstruct(truth)
     norm_t = frobenius_norm(T)
@@ -505,6 +526,10 @@ def test_pipeline_properties(kind, data):
 def test_options_validation():
     with pytest.raises(ValueError):
         MrcpdOptions(restarts=0)
+    with pytest.raises(ValueError, match="compression is always on"):
+        MrcpdOptions(compression=None)
+    assert MrcpdOptions().compression == Compression("svd")
+    assert MrcpdOptions().solver_opts.max_iters == mrcpd.INNER_MAX_ITERS
     for kind in ("lossy", "fibers"):
         with pytest.raises(ValueError, match="unknown compression kind"):
             Compression(kind)

@@ -61,7 +61,7 @@ def test_kernel_parameters():
     assert params(compress_mode) == ["T3", "mode", "width"]
     assert params(kr_project) == ["H", "sizes", "method", "nonneg"]
     assert params(rank1_power_iteration) == ["T", "nonneg"]
-    assert params(mode_rank) == ["T", "n"]
+    assert params(mode_rank) == ["T", "n", "cap"]
     assert params(kruskal_rank) == ["M"]
 
 
@@ -75,7 +75,7 @@ def test_cli_options():
 
     assert options("decompose") == sorted([
         "--input", "--rank", "--method", "--split", "--solver-tol",
-        "--max-iters", "--seed", "--compress", "--nonneg", "--init",
+        "--max-iters", "--seed", "--nonneg", "--init",
         "--output", "-h", "--help"])
     assert options("krproj") == sorted([
         "--input", "--shape", "--nonneg", "-h", "--help"])

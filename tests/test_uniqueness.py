@@ -195,6 +195,20 @@ def test_mode_rank_matches_full_svd(shape, rank, seed, rel):
         assert mode_rank(T, n) == full_svd_rank(matricize(T, n))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(2, 14), st.integers(2, 5),
+                       st.integers(2, 5)),
+       rank=st.integers(1, 6),
+       cap=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 30),
+       rel=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5]))
+def test_mode_rank_cap(shape, rank, cap, seed, rel):
+    # a cap asks for fewer singular values, never for a different count
+    T = perturbed_low_rank(shape, rank, seed, rel)
+    for n in range(3):
+        assert mode_rank(T, n, cap=cap) == min(mode_rank(T, n), cap)
+
+
 def test_mode_rank_tall_and_wide():
     T = perturbed_low_rank((30, 3, 4), 2, 65, 0.0)
     assert matricize(T, 0).shape == (30, 12)       # tall
