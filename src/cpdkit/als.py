@@ -53,12 +53,36 @@ class SolveReport:
     converged: bool = False
 
 
+def _solve_gram(W, V) -> np.ndarray:
+    """``W @ inv(V)`` for the symmetric positive semidefinite Gram ``V``.
+
+    Uses the Cholesky factor ``V = L L^T``: ``W inv(V) = (W inv(L)^T)
+    inv(L)``, two GEMMs after a triangular inverse.  Cholesky breakdown, or
+    ``(min diag L / max diag L)^2`` (a condition estimate) at or below
+    :func:`pinv_cutoff`, falls back to the pseudo-inverse with that cutoff.
+    NumPy only: SciPy's LAPACK brings a second BLAS thread pool that
+    contends with NumPy's inside the sweep.
+    """
+    cutoff = pinv_cutoff(V)
+    try:
+        L = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is not None:
+        d = np.diagonal(L)
+        if (d.min() / d.max()) ** 2 > cutoff:
+            Linv = np.linalg.inv(L)
+            return (W @ Linv.T) @ Linv
+    return W @ np.linalg.pinv(V, rcond=cutoff)
+
+
 def cp_als(T, J: int, opts: SolverOptions | None = None):
     """Rank-``J`` CP decomposition by alternating least squares.
 
     Each mode update solves its linear least-squares problem through the
     Gram/Hadamard identity (the J x J normal matrix is the entrywise product
-    of the other factors' Gram matrices), so the residual never increases.
+    of the other factors' Gram matrices, solved by Cholesky), so the
+    residual never increases.
     The fit is tracked per sweep from cached cross products, not by forming
     the dense reconstruction.
 
@@ -114,7 +138,7 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
             Un = unfoldings[n] if unfoldings is not None else matricize(T, n)
             W = Un @ B
             V = hadamard([grams[p] for p in range(N) if p != n])
-            factors[n] = W @ np.linalg.pinv(V, rcond=pinv_cutoff(V))
+            factors[n] = _solve_gram(W, V)
             grams[n] = factors[n].T @ factors[n]
         # V excludes the last mode, W is its cross product: enough for the
         # residual without reconstructing the tensor.

@@ -30,7 +30,20 @@ class KTensor:
     __slots__ = ("weights", "factors")
 
     def __init__(self, factors, weights=None):
-        factors = [np.array(A, dtype=np.float64, copy=True) for A in factors]
+        self._own([np.array(A, dtype=np.float64, copy=True) for A in factors],
+                  None if weights is None
+                  else np.array(weights, dtype=np.float64, copy=True).ravel())
+
+    @classmethod
+    def _adopt(cls, factors, weights) -> "KTensor":
+        """A KTensor that holds the given float64 arrays themselves, for
+        arrays nothing else refers to (no copy is made)."""
+        kt = cls.__new__(cls)
+        kt._own(list(factors), weights)
+        return kt
+
+    def _own(self, factors, weights):
+        """Check and hold ``factors`` and ``weights`` (``None``: ones)."""
         if not factors:
             raise ValueError("KTensor needs at least one factor matrix")
         if any(A.ndim != 2 for A in factors):
@@ -42,7 +55,6 @@ class KTensor:
             raise ValueError("rank must be at least 1")
         if weights is None:
             weights = np.ones(J)
-        weights = np.array(weights, dtype=np.float64, copy=True).ravel()
         if weights.size != J:
             raise ValueError(f"{weights.size} weights for rank {J}")
         self.factors = factors
@@ -224,10 +236,12 @@ def read_ktns(path) -> KTensor:
         path, KTNS_MAGIC, 2, "bad header (order={0}, rank={1})",
         lambda counts, shape: counts[1] * (1 + sum(shape)),
         "weights and factor entries")
-    if not np.isfinite(values).all():
+    # min and max carry any NaN or Inf without a payload-sized mask.
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ValueError(f"{path}: weights or factors have NaN or Inf entries")
     weights, factors, at = values[:J], [], J
     for size in shape:
         factors.append(values[at:at + size * J].reshape((size, J), order="F"))
         at += size * J
-    return KTensor(factors, weights)
+    # The slices view the one payload array the reader allocated.
+    return KTensor._adopt(factors, weights)

@@ -67,6 +67,19 @@ def _tsqr_r(M) -> np.ndarray:
     return R
 
 
+def _deflated_residual(M, V) -> float:
+    """``||M - V @ (V.T @ M)||_F`` over column blocks of ``M``, so no
+    temporary larger than a block is made."""
+    m, n = M.shape
+    block = max(1, TSQR_BLOCK_ENTRIES // m)
+    total = 0.0
+    for start in range(0, n, block):
+        Mb = M[:, start:start + block]
+        R = Mb - V @ (V.T @ Mb)
+        total += float(np.vdot(R, R))
+    return float(np.sqrt(total))
+
+
 def left_singular_pairs(M, rtol: float, r: int | None = None):
     """Leading left singular pairs ``(U, s)`` of a wide matrix (``m <= n``).
 
@@ -78,16 +91,23 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
 
     The fast route takes ``eigh`` of the ``m x m`` Gram ``M @ M.T``.  Forming
     and diagonalizing it moves each eigenvalue by at most
-    ``delta = 2 (n + m) eps ||M||_F^2``, so the Gram route is kept only when
+    ``delta = 2 (n + m) eps ||M||_F^2``, so the Gram route is kept when
     every returned eigenvalue is farther than ``delta`` from the squared
-    cutoff.  Otherwise (near-deficient rank, or a Gram that overflows) the
-    pairs come from the SVD of the small R factor of a streamed QR of
-    ``M.T`` (Chan's R-SVD, ACM TOMS 8(1), 1982), which is as accurate as a
-    full SVD of ``M``.  Non-finite entries are rejected.
+    cutoff.  When some are not, the ``k`` leading eigenvectors ``V_k`` that
+    are clearly kept are deflated: ``||M - V_k V_k^T M||_F`` bounds
+    ``sigma_{k+1}`` (Eckart and Young, Psychometrika 1, 1936), so if it
+    plus a rounding term ``4 (m + k + 2) sqrt(k) eps ||M||_F`` is at most
+    ``rtol`` times the lower bound ``sqrt(lam_1 - delta)`` on ``sigma_1``,
+    every value past ``k`` is dropped and is reported at or below the
+    cutoff.  Otherwise (a singular value near the cutoff, or a Gram that
+    overflows) the pairs come from the SVD of the small R factor of a
+    streamed QR of ``M.T`` (Chan's R-SVD, ACM TOMS 8(1), 1982), which is as
+    accurate as a full SVD of ``M``.  Non-finite entries are rejected.
 
-    On the fast route ``U`` captures all but at most ``2 r delta`` of the
-    largest possible ``||U.T @ M||_F^2``, and ``(U / s).T @ M`` has
-    orthonormal rows to within about ``delta / s[-1]**2``.
+    On the Gram routes the first ``k`` columns of ``U`` capture all but at
+    most ``2 k delta`` of the largest possible ``||U_k.T @ M||_F^2``, and
+    ``(U_k / s_k).T @ M`` has orthonormal rows to within about
+    ``delta / s[k-1]**2``.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -104,11 +124,19 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
     if np.isfinite(frob2):
         lam, V = np.linalg.eigh(G)
         lam, V = lam[::-1][:r], V[:, ::-1][:, :r]
-        delta = 2.0 * (n + m) * np.finfo(np.float64).eps * frob2
-        cut_hi = rtol ** 2 * (lam[0] + delta)
-        cut_lo = rtol ** 2 * (lam[0] - delta)
-        if np.all((lam - delta > cut_hi) | (lam + delta <= cut_lo)):
-            return V, np.sqrt(np.maximum(lam, 0.0))
+        eps = np.finfo(np.float64).eps
+        delta = 2.0 * (n + m) * eps * frob2
+        kept = lam - delta > rtol ** 2 * (lam[0] + delta)
+        s = np.sqrt(np.maximum(lam, 0.0))
+        if np.all(kept | (lam + delta <= rtol ** 2 * (lam[0] - delta))):
+            return V, s
+        k = int(np.sum(kept))
+        if k:
+            rounding = 4.0 * (m + k + 2) * np.sqrt(k) * eps * np.sqrt(frob2)
+            tail = _deflated_residual(M, V[:, :k]) + rounding
+            if tail <= rtol * np.sqrt(max(lam[0] - delta, 0.0)):
+                s[k:] = np.minimum(s[k:], rtol * s[0])
+                return V, s
     elif not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     _, s, Vt = np.linalg.svd(_tsqr_r(M), full_matrices=False)
@@ -121,20 +149,26 @@ def ls_solve(A, B) -> np.ndarray:
     The numerical rank counts singular values above
     ``max(A.shape) * eps * sigma_1``, the pseudo-inverse cutoff used
     throughout the package; a rank below ``A.shape[1]`` raises
-    ``ValueError`` with a condition estimate.
+    ``ValueError`` with a condition estimate.  A tall ``A`` is factored by
+    a thin QR: the singular values of the small ``R`` are those of ``A``,
+    and ``X`` solves ``R X = Q^T B``.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} and {B.shape}")
-    X, _, rank, sv = np.linalg.lstsq(A, B, rcond=pinv_cutoff(A))
-    if rank < A.shape[1]:
-        smin = sv[-1] if A.shape[0] >= A.shape[1] else 0.0
+    m, n = A.shape
+    tall = m >= n
+    Q, R = np.linalg.qr(A) if tall else (None, A)
+    sv = np.linalg.svd(R, compute_uv=False)
+    rank = int(np.sum(sv > pinv_cutoff(A) * sv[0])) if sv.size else 0
+    if rank < n:
+        smin = sv[-1] if tall else 0.0
         cond = sv[0] / smin if smin > 0 else np.inf
         raise ValueError(f"least-squares matrix is numerically rank deficient "
-                         f"(rank {rank} of {A.shape[1]} columns, condition ~ "
+                         f"(rank {rank} of {n} columns, condition ~ "
                          f"{cond:.3e})")
-    return X
+    return np.linalg.solve(R, Q.T @ B)
 
 
 def pinv_cutoff(A) -> float:

@@ -19,6 +19,7 @@ can only come from a bug, never from bad data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import prod
 from time import perf_counter
 
 import numpy as np
@@ -280,7 +281,10 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     Returns ``(KTensor, SolveReport, BoundReport)``: the order-N estimate in
     original mode order (normalized), the inner solve's report with
     ``runtime_s`` replaced by the total pipeline wall-clock, and the bound
-    check.  Raises if the certified bound fails, which indicates a bug.
+    check.  A J above the feasible rank of the merged tensor (the product
+    of the two smaller merged sizes, when the largest is above J) raises
+    ``ValueError`` before the merge.  Raises if the certified bound fails,
+    which indicates a bug.
     """
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 4:
@@ -307,9 +311,18 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     if split.num_groups != 3:
         raise ValueError(f"the pipeline solves a third-order core; the split "
                          f"has {split.num_groups} groups")
+    sizes = split.group_sizes(T.shape)
+    m = int(np.argmax(sizes))
+    # The compressed largest mode keeps at most the product of the other
+    # two sizes, and recovering its factor needs J of them.
+    feasible = prod(sizes) // sizes[m]
+    if sizes[m] > J > feasible:
+        raise ValueError(
+            f"rank {J} exceeds the feasible rank {feasible} of the merged "
+            f"{'x'.join(map(str, sizes))} tensor; use a rank of at most "
+            f"{feasible} or another split")
     Y3 = reduce_modes(T, split)
 
-    m = int(np.argmax(Y3.shape))
     Y3s = compress_mode(Y3, m, J)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)

@@ -443,3 +443,21 @@ def test_bench_rejects_scale_zero(tmp_path, capsys, experiment):
     assert err.startswith("error:") and "mode sizes must be >= 3" in err
     assert err.count("\n") == 1
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("rank", ["7", "10"])
+def test_decompose_infeasible_rank_is_one_line(tmp_path, capsys, rank):
+    # merged 100x2x3: compression keeps at most 2*3 = 6 directions of the
+    # 100-wide mode, so rank 7 or 10 cannot be recovered
+    inp = tmp_path / "t.tnsr"
+    outp = tmp_path / "est.ktns"
+    write_tnsr(inp, np.random.default_rng(240).standard_normal((10, 10, 2, 3)))
+    code = main(["decompose", "--input", str(inp), "--rank", rank,
+                 "--method", "mrcpd", "--split", "1,2|3|4",
+                 "--output", str(outp)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: rank {rank} exceeds the feasible rank 6 of the "
+                   f"merged 100x2x3 tensor; use a rank of at most 6 or "
+                   f"another split\n")
+    assert not outp.exists()

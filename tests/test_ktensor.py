@@ -2,6 +2,7 @@
 matching metrics, and the factor file format."""
 
 import struct
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -220,6 +221,25 @@ def test_ktns_round_trip(tmp_path):
     back = read_ktns(p)
     assert back.shape == kt.shape and back.rank == kt.rank
     assert np.array_equal(back.weights, kt.weights)
+    for A, B in zip(back.factors, kt.factors):
+        assert np.array_equal(A, B)
+
+
+def test_read_ktns_holds_one_copy(tmp_path):
+    # the factors view the payload array the reader allocated
+    rng = np.random.default_rng(29)
+    kt = KTensor([rng.standard_normal((2000, 50)) for _ in range(4)],
+                 rng.uniform(0.5, 2.0, 50))
+    p = tmp_path / "f.ktns"
+    write_ktns(p, kt)
+    payload = 8 * (50 + 4 * 2000 * 50)
+    tracemalloc.start()
+    try:
+        back = read_ktns(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload
     for A, B in zip(back.factors, kt.factors):
         assert np.array_equal(A, B)
 

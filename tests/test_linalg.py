@@ -1,8 +1,12 @@
 """Matrix kernel tests with brute-force oracles built from np.kron and the
 full SVD."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpdkit import linalg
 from cpdkit.linalg import (
@@ -66,6 +70,87 @@ def test_hadamard():
         hadamard([A, np.zeros((3, 2))])
 
 
+def matrix_with_spectrum(seed, shape, s):
+    """``U diag(s) W^T`` with Haar-random orthonormal ``U`` and ``W``."""
+    rng = np.random.default_rng(seed)
+    k = len(s)
+    U, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    W, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    return (U * s) @ W.T
+
+
+@st.composite
+def low_rank_plus_tail(draw, rtol):
+    """A matrix whose spectrum is a kept block at or above 0.05 times the
+    largest value plus a tail straddling ``rtol`` times it (some of it
+    exactly zero).  Returns ``(M, oracle_count)``; examples with a full-SVD
+    value within 5% of the cutoff, where rounding may decide, are
+    excluded."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(m, 60))
+    kept = draw(st.integers(1, m))
+    head = [1.0] + draw(st.lists(st.floats(0.05, 1.0), min_size=kept - 1,
+                                 max_size=kept - 1))
+    tail = draw(st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 2.0).map(
+        lambda e: rtol * 10.0 ** e)), min_size=m - kept, max_size=m - kept))
+    s = np.sort(np.array(head + tail))[::-1]
+    M = matrix_with_spectrum(draw(st.integers(0, 2 ** 32 - 1)), (m, n), s)
+    s_full = np.linalg.svd(M, compute_uv=False)
+    cut = rtol * s_full[0]
+    assume(not np.any((s_full > cut / 1.05) & (s_full < cut * 1.05)))
+    return M, int(np.sum(s_full > cut))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=low_rank_plus_tail(1e-8), data=st.data())
+def test_left_singular_pairs_verdicts_match_full_svd(case, data):
+    M, want = case
+    m = M.shape[0]
+    r = data.draw(st.one_of(st.just(m), st.integers(1, m)))
+    U, s = left_singular_pairs(M, 1e-8, r)
+    assert U.shape == (M.shape[0], r) and s.shape == (r,)
+    assert np.all(np.diff(s) <= 0)
+    assert np.sum(s > 1e-8 * s[0]) == min(want, r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), extra=st.integers(0, 32), k=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ls_solve_matches_lstsq_on_full_rank(n, extra, k, seed):
+    m = n + extra
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    assume(np.linalg.cond(A) < 1e3)
+    B = rng.standard_normal((m, k) if k else m)
+    X = ls_solve(A, B)
+    want = np.linalg.lstsq(A, B, rcond=None)[0]
+    assert X.shape == want.shape
+    assert np.linalg.norm(X - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(12, 40), r=st.integers(1, 5), extra=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ls_solve_rank_deficient_message(m, r, extra, seed):
+    # extra columns are exact copies (times powers of two) of kept ones, or
+    # zero, so the rank is r exactly; a wide A is rank deficient as well
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, r))
+    picks = rng.integers(0, r + 1, extra)
+    copies = [X[:, j] * 2.0 ** rng.integers(-3, 4) if j < r
+              else np.zeros(m) for j in picks]
+    A = np.column_stack([X, *copies])
+    n = A.shape[1]
+    msg = re.escape(f"least-squares matrix is numerically rank deficient "
+                    f"(rank {r} of {n} columns, condition ~ ")
+    with pytest.raises(ValueError, match=msg):
+        ls_solve(A, rng.standard_normal(m))
+    wide = A[:r].copy()
+    msg = re.escape(f"(rank {r} of {n} columns, condition ~ inf)")
+    with pytest.raises(ValueError, match=msg):
+        ls_solve(wide, np.ones(r))
+
+
 def tsqr_calls(monkeypatch):
     """Count calls of the exact (streamed QR) route."""
     calls = []
@@ -94,16 +179,32 @@ def test_left_singular_pairs_fast_route_on_full_rank(monkeypatch):
     assert same_subspace(U[:, :3], U_full[:, :3], 1e-10)
 
 
-def test_left_singular_pairs_exact_route_on_rank_deficient(monkeypatch):
+def test_left_singular_pairs_deflation_certifies_rank_deficient(monkeypatch):
+    # the Gram route cannot place the zero singular values, but deflating
+    # the two kept directions bounds them below the cutoff: no TSQR
     calls = tsqr_calls(monkeypatch)
     rng = np.random.default_rng(16)
     M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 50))
     U, s = left_singular_pairs(M, 1e-8)
     U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
-    assert calls == [(6, 50)]
+    assert calls == []
+    assert U.shape == (6, 6) and s.shape == (6,)
     assert np.sum(s > 1e-8 * s[0]) == np.sum(s_full > 1e-8 * s_full[0]) == 2
-    assert np.allclose(s, s_full, atol=1e-12 * s_full[0])
+    assert np.all(s[2:] <= 1e-8 * s[0])
+    assert np.allclose(s[:2], s_full[:2], rtol=1e-12)
     assert same_subspace(U[:, :2], U_full[:, :2], 1e-10)
+
+
+def test_left_singular_pairs_near_cutoff_takes_exact_route(monkeypatch):
+    # sigma_3 just above rtol * sigma_1: the deflated residual cannot
+    # certify a drop, so the streamed QR decides, and keeps it
+    calls = tsqr_calls(monkeypatch)
+    M = matrix_with_spectrum(20, (6, 50), [1.0, 0.5, 1.05e-8, 0.0, 0.0, 0.0])
+    _, s = left_singular_pairs(M, 1e-8)
+    s_full = np.linalg.svd(M, compute_uv=False)
+    assert calls == [(6, 50)]
+    assert np.sum(s > 1e-8 * s[0]) == np.sum(s_full > 1e-8 * s_full[0]) == 3
+    assert np.allclose(s, s_full, atol=1e-14)
 
 
 def test_left_singular_pairs_truncates():

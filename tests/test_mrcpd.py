@@ -534,3 +534,19 @@ def test_options_validation():
         with pytest.raises(ValueError, match="unknown compression kind"):
             Compression(kind)
     assert Compression("svd").kind == "svd"
+
+
+def test_infeasible_rank_raises_before_any_solve(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("merged the tensor for an infeasible rank")
+
+    monkeypatch.setattr(mrcpd, "reduce_modes", unreachable)
+    T = np.random.default_rng(87).standard_normal((10, 10, 2, 3))
+    split = ModeSplit((0, 1, 2, 3), (0, 2, 3, 4))
+    with pytest.raises(ValueError, match=r"rank 7 exceeds the feasible rank 6 "
+                                         r"of the merged 100x2x3 tensor"):
+        mrcpd_decompose(T, 7, MrcpdOptions(split=split))
+    monkeypatch.undo()
+    est, _, bound = mrcpd_decompose(T, 6, MrcpdOptions(
+        split=split, solver_opts=solver_opts(0)))
+    assert est.rank == 6 and bound.holds

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpdkit import als
+from cpdkit import als, linalg
 from cpdkit.als import SolverOptions, cp_als, get_solver, register_solver
 from cpdkit.ktensor import KTensor, fit, reconstruct
+from cpdkit.linalg import pinv_cutoff
 from cpdkit.mrcpd import MrcpdOptions, mrcpd_decompose
 from cpdkit.synth import gen_random_ktensor
 
@@ -185,3 +188,62 @@ def test_cp_als_rejects_non_finite(bad):
     T[1, 2, 3] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
         cp_als(T, 2, SolverOptions(seed=0))
+
+
+def pinv_spy(monkeypatch):
+    calls = []
+    real = np.linalg.pinv
+
+    def spy(V, *args, **kwargs):
+        calls.append(V.shape)
+        return real(V, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    return calls
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(J=st.integers(1, 48), rows=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_solve_matches_pinv(J, rows, seed):
+    # a Gram of a tall Gaussian matrix is well conditioned
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((4 * J, J))
+    V = F.T @ F
+    W = rng.standard_normal((rows, J))
+    want = W @ np.linalg.pinv(V, rcond=pinv_cutoff(V))
+    got = als._solve_gram(W, V)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9])
+def test_gram_solve_falls_back_on_singular(monkeypatch, scale):
+    # a zero column breaks the Cholesky factorization; a tiny one passes it
+    # with a pivot ratio below the cutoff
+    rng = np.random.default_rng(34)
+    F = rng.standard_normal((20, 5))
+    F[:, 4] *= scale
+    V = F.T @ F
+    W = rng.standard_normal((7, 5))
+    want = W @ np.linalg.pinv(V, rcond=pinv_cutoff(V))
+    calls = pinv_spy(monkeypatch)
+    assert np.array_equal(als._solve_gram(W, V), want)
+    assert calls == [(5, 5)]
+
+
+def test_sweep_solves_by_cholesky_with_numpy(monkeypatch):
+    # a well-posed sweep never reaches the pseudo-inverse, and still forms
+    # its Khatri-Rao and Hadamard products through linalg
+    calls = pinv_spy(monkeypatch)
+    seen = []
+    real_kr = linalg.khatri_rao
+
+    def kr(mats):
+        seen.append(len(mats))
+        return real_kr(mats)
+
+    monkeypatch.setattr(als, "khatri_rao", kr)
+    T = reconstruct(gen_random_ktensor((6, 5, 4), 3, seed=35))
+    _, rep = cp_als(T, 3, SolverOptions(max_iters=5, tol=0.0, seed=2))
+    assert calls == []
+    assert seen == [2] * 3 * rep.iterations

@@ -111,3 +111,18 @@ def test_only_tensor_packs_binary_layouts():
             if "struct" in names:
                 importers.add(path.name)
     assert importers == {"tensor.py"}
+
+
+def test_sweep_kernels_import_no_scipy():
+    # SciPy's LAPACK runs on its own BLAS thread pool, which contends with
+    # NumPy's inside the ALS sweep: the solve and rank kernels stay NumPy
+    for name in ("als.py", "linalg.py"):
+        tree = ast.parse((Path(cpdkit.__file__).parent / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), name

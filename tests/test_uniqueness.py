@@ -4,15 +4,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpdkit.ktensor import reconstruct
 from cpdkit.linalg import khatri_rao
 from cpdkit.synth import gen_random_ktensor
-from cpdkit.tensor import ModeSplit, matricize
+from cpdkit.tensor import ModeSplit, matricize, tensorize
 from cpdkit.uniqueness import (
     KRUSKAL_RANK_MAX_COLS,
+    RANK_RTOL,
     check_unfolded_uniqueness,
     collinearity,
     krank_product_bound,
@@ -207,6 +208,35 @@ def test_mode_rank_cap(shape, rank, cap, seed, rel):
     T = perturbed_low_rank(shape, rank, seed, rel)
     for n in range(3):
         assert mode_rank(T, n, cap=cap) == min(mode_rank(T, n), cap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(2, 12), st.integers(2, 5),
+                       st.integers(2, 5)),
+       n=st.integers(0, 2), data=st.data(), seed=st.integers(0, 2 ** 30))
+def test_mode_rank_straddling_cutoff(shape, n, data, seed):
+    # a mode-n spectrum of kept values plus a tail from 1e-10 to 100 times
+    # RANK_RTOL (or exactly zero); values within 5% of the cutoff, where
+    # rounding may decide, are excluded
+    rng = np.random.default_rng(seed)
+    rows, cols = shape[n], int(np.prod(shape)) // shape[n]
+    k = min(rows, cols)
+    kept = data.draw(st.integers(1, k))
+    tail = data.draw(st.lists(st.sampled_from(
+        [0.0, 1e-10, 1e-6, 0.3, 0.9, 1.2, 3.0, 100.0]), min_size=k - kept,
+        max_size=k - kept))
+    s = np.sort(np.r_[1.0, rng.uniform(0.05, 1.0, kept - 1),
+                      RANK_RTOL * np.array(tail)])[::-1]
+    U, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    W, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    T = tensorize((U * s) @ W.T, shape, n)
+    s_full = np.linalg.svd(matricize(T, n), compute_uv=False)
+    cut = RANK_RTOL * s_full[0]
+    assume(not np.any((s_full > cut / 1.05) & (s_full < cut * 1.05)))
+    want = int(np.sum(s_full > cut))
+    cap = data.draw(st.integers(1, k + 2))
+    assert mode_rank(T, n) == want
+    assert mode_rank(T, n, cap=cap) == min(want, cap)
 
 
 def test_mode_rank_tall_and_wide():
