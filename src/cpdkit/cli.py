@@ -245,14 +245,31 @@ def _warning_line(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+# Numeric flags checked before any command runs: (flag, attribute, test,
+# what the error says about a value that fails the test).
+_FLAG_RULES = (
+    ("--seed", "seed", lambda v: v >= 0,
+     "is negative; seeds are non-negative integers"),
+    ("--rank", "rank", lambda v: v >= 1, "is not a positive rank"),
+    ("--max-iters", "max_iters", lambda v: v >= 1, "must be at least 1"),
+    ("--solver-tol", "solver_tol", lambda v: v >= 0, "must be >= 0"),
+)
+
+
+def _check_flags(args) -> None:
+    """Reject an out-of-range numeric flag with an error that names it."""
+    for flag, attr, ok, why in _FLAG_RULES:
+        value = getattr(args, attr, None)
+        if value is not None and not ok(value):
+            raise ValueError(f"{flag}: '{value}' {why}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _warning_line
         try:
-            if getattr(args, "seed", None) is not None and args.seed < 0:
-                raise ValueError(f"--seed: '{args.seed}' is negative; seeds "
-                                 "are non-negative integers")
+            _check_flags(args)
             return args.func(args)
         except (ValueError, RuntimeError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)

@@ -50,38 +50,76 @@ def hadamard(matrices) -> np.ndarray:
     return out
 
 
+def _row_blocks(M):
+    """Row blocks of ``M.T`` for a matrix ``M`` or a ``(P, m, Q)`` stack.
+
+    A stack stands for the ``m x (P Q)`` matrix whose columns are its
+    fibres ``M[p, :, q]``; a matrix is the stack ``M[None]``.  Each block
+    has about ``max(2 m, TSQR_BLOCK_ENTRIES // m)`` rows and follows the
+    memory order of a C-contiguous stack, so none of it is copied except a
+    block at a time (a view when ``Q`` is that large, or 1).  The rows come
+    in a fixed order that differs from the matrix's column order, which
+    changes no Gram, residual norm or R factor's singular values.
+    """
+    X = M if M.ndim == 3 else M[None]
+    P, m, Q = X.shape
+    rows = max(2 * m, TSQR_BLOCK_ENTRIES // m)
+    if Q >= rows:
+        for p in range(P):
+            for q in range(0, Q, rows):
+                yield X[p, :, q:q + rows].T
+    else:
+        step = rows // Q
+        for p in range(0, P, step):
+            yield X[p:p + step].transpose(0, 2, 1).reshape(-1, m)
+
+
+def _gram(M) -> np.ndarray:
+    """``M @ M.T`` for a matrix or a stack (see :func:`_row_blocks`): one
+    GEMM when the matrix is a view of the stack, else a sum over blocks."""
+    X = M if M.ndim == 3 else M[None]
+    if X.shape[0] == 1:
+        return X[0] @ X[0].T
+    if X.shape[2] == 1:
+        return X[:, :, 0].T @ X[:, :, 0]
+    G = np.zeros((X.shape[1],) * 2)
+    for Y in _row_blocks(X):
+        G += Y.T @ Y
+    return G
+
+
 def _tsqr_r(M) -> np.ndarray:
-    """R factor of a QR of ``M.T``, accumulated over column blocks of ``M``.
+    """R factor of a QR of ``M.T``, accumulated over :func:`_row_blocks`.
 
     Each step factors the previous R stacked on one block, so the working
     set stays at a block plus R and ``M`` is never copied whole (sequential
     TSQR, Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1),
     2012).  ``R.T @ R == M @ M.T`` up to rounding.
     """
-    m, n = M.shape
-    block = max(2 * m, TSQR_BLOCK_ENTRIES // m)
+    m = M.shape[-2]
     R = np.zeros((0, m))
-    for start in range(0, n, block):
-        R = np.linalg.qr(np.vstack([R, M[:, start:start + block].T]),
-                         mode="r")
+    for Y in _row_blocks(M):
+        R = np.linalg.qr(np.vstack([R, Y]), mode="r")
     return R
 
 
 def _deflated_residual(M, V) -> float:
-    """``||M - V @ (V.T @ M)||_F`` over column blocks of ``M``, so no
+    """``||M - V @ (V.T @ M)||_F`` over :func:`_row_blocks`, so no
     temporary larger than a block is made."""
-    m, n = M.shape
-    block = max(1, TSQR_BLOCK_ENTRIES // m)
     total = 0.0
-    for start in range(0, n, block):
-        Mb = M[:, start:start + block]
-        R = Mb - V @ (V.T @ Mb)
+    for Y in _row_blocks(M):
+        R = Y - (Y @ V) @ V.T
         total += float(np.vdot(R, R))
     return float(np.sqrt(total))
 
 
 def left_singular_pairs(M, rtol: float, r: int | None = None):
     """Leading left singular pairs ``(U, s)`` of a wide matrix (``m <= n``).
+
+    ``M`` may also be a ``(P, m, Q)`` stack standing for the ``m x (P Q)``
+    matrix of its fibres ``M[p, :, q]`` (see :func:`_row_blocks`); the
+    Gram, the deflated residual and the streamed QR then read it in memory
+    order, with no copy of the matrix.
 
     Returns ``U`` (``m x r``, orthonormal columns) and the ``r`` largest
     singular values ``s`` in descending order; ``r=None`` keeps all ``m``.
@@ -110,16 +148,17 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
     ``delta / s[k-1]**2``.
     """
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("left_singular_pairs expects a matrix")
-    m, n = M.shape
+    if M.ndim not in (2, 3):
+        raise ValueError("left_singular_pairs expects a matrix or a stack")
+    m = M.shape[-2]
+    n = M.size // max(m, 1)
     if m > n:
         raise ValueError(f"expected a wide matrix, got shape {M.shape}")
     r = m if r is None else r
     if not 1 <= r <= m:
         raise ValueError(f"rank {r} out of range for shape {M.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        G = M @ M.T
+        G = _gram(M)
         frob2 = float(np.trace(G))
     if np.isfinite(frob2):
         lam, V = np.linalg.eigh(G)

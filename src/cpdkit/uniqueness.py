@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -140,13 +141,34 @@ def mode_rank(T, n: int, cap: int | None = None) -> int:
     The count agrees with a full SVD's; well-conditioned modes get it from
     the Gram matrix (see :func:`~cpdkit.linalg.left_singular_pairs`).  A
     ``cap`` asks only for the ``cap`` leading singular values, so the
-    result is ``min(rank, cap)`` at less cost.
+    result is ``min(rank, cap)`` at less cost.  The tensor is read in place
+    as a ``(P, I_n, Q)`` stack (:func:`_mode_stack`), unless mode ``n`` is
+    larger than all the others together.
     """
-    M = matricize(T, n)
-    if M.size == 0:
+    T = np.asarray(T, dtype=np.float64)
+    if not 0 <= n < T.ndim:
+        raise ValueError(f"mode {n} out of range for order-{T.ndim} tensor")
+    if T.size == 0:
         return 0
     # Only the singular values matter, so factor the wide orientation.
-    W = M if M.shape[0] <= M.shape[1] else M.T
+    tall = T.shape[n] ** 2 > T.size
+    W = matricize(T, n).T if tall else _mode_stack(T, n)
     _, s = left_singular_pairs(W, RANK_RTOL,
-                               None if cap is None else min(cap, W.shape[0]))
+                               None if cap is None else min(cap, W.shape[-2]))
     return _rank(s)
+
+
+def _mode_stack(T, n: int) -> np.ndarray:
+    """``T`` as a C-contiguous ``(P, I_n, Q)`` stack whose fibres
+    ``[p, :, q]`` are the columns of ``matricize(T, n)``, in another order.
+
+    A view of a C-contiguous tensor; an F-contiguous one is read as ``T.T``,
+    the C-contiguous tensor of its reversed modes, at mode ``N - 1 - n``.
+    Any other layout is copied once.
+    """
+    if not T.flags.c_contiguous:
+        if T.flags.f_contiguous:
+            T, n = T.T, T.ndim - 1 - n
+        else:
+            T = np.ascontiguousarray(T)
+    return T.reshape(prod(T.shape[:n]), T.shape[n], -1)

@@ -208,6 +208,27 @@ def test_negative_seed_names_the_flag(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == ["t.tnsr"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--solver-tol", "-1"], "--solver-tol: '-1.0' must be >= 0"),
+    (["--solver-tol", "nan"], "--solver-tol: 'nan' must be >= 0"),
+    (["--max-iters", "0"], "--max-iters: '0' must be at least 1"),
+    (["--rank", "0"], "--rank: '0' is not a positive rank"),
+])
+def test_out_of_range_flag_names_the_flag(tmp_path, capsys, flags, message):
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, np.ones((3, 3, 3)))
+    argv = ["decompose", "--input", str(inp), "--rank", "2", "--method",
+            "als", "--output", str(tmp_path / "e.ktns")]
+    assert main([*argv, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    if flags[0] == "--rank":
+        assert main(["analyze", "--input", str(inp), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["t.tnsr"]
+
+
 @pytest.mark.parametrize("method", ["als", "mrcpd"])
 def test_decompose_warning_is_one_line(tmp_path, capsys, method):
     # a rank above the feasible rank warns in one line and still succeeds

@@ -207,6 +207,30 @@ def test_left_singular_pairs_near_cutoff_takes_exact_route(monkeypatch):
     assert np.allclose(s, s_full, atol=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 30), (9, 4, 1), (5, 3, 6),
+                                   (3, 4, 40)])
+@pytest.mark.parametrize("spectrum", [
+    [1.0, 0.7, 0.4, 0.2],               # Gram route
+    [1.0, 0.5, 0.0, 0.0],               # deflation certifies the drop
+    [1.0, 0.5, 1.05e-8, 0.0],           # streamed QR decides
+])
+def test_left_singular_pairs_reads_a_stack(monkeypatch, shape, spectrum):
+    # a (P, m, Q) stack gives the pairs of the matrix of its fibres, over
+    # blocks small enough to take every branch of the block walk
+    monkeypatch.setattr(linalg, "TSQR_BLOCK_ENTRIES", 64)
+    P, m, Q = shape
+    M = matrix_with_spectrum(21, (m, P * Q), spectrum[:m])
+    X = np.ascontiguousarray(M.reshape(m, P, Q).transpose(1, 0, 2))
+    U, s = left_singular_pairs(X, 1e-8)
+    U_full, s_full, _ = np.linalg.svd(M, full_matrices=False)
+    kept = int(np.sum(s_full > 1e-8 * s_full[0]))
+    assert np.sum(s > 1e-8 * s[0]) == kept
+    assert np.allclose(s[:kept], s_full[:kept], rtol=1e-12)
+    assert np.all(s[kept:] <= max(1e-8 * s[0], s_full[kept:].max(initial=0)))
+    k = int(np.sum(s_full > 0.1))
+    assert same_subspace(U[:, :k], U_full[:, :k], 1e-10)
+
+
 def test_left_singular_pairs_truncates():
     M = np.random.default_rng(17).standard_normal((5, 30))
     U, s = left_singular_pairs(M, 1e-8, r=3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cpdkit import als, linalg
 from cpdkit.als import SolverOptions, cp_als, get_solver, register_solver
 from cpdkit.ktensor import KTensor, fit, reconstruct
+from cpdkit.tensor import matricize
 from cpdkit.linalg import pinv_cutoff
 from cpdkit.mrcpd import MrcpdOptions, mrcpd_decompose
 from cpdkit.synth import gen_random_ktensor
@@ -232,8 +233,10 @@ def test_gram_solve_falls_back_on_singular(monkeypatch, scale):
 
 
 def test_sweep_solves_by_cholesky_with_numpy(monkeypatch):
-    # a well-posed sweep never reaches the pseudo-inverse, and still forms
-    # its Khatri-Rao and Hadamard products through linalg
+    # a well-posed sweep never reaches the pseudo-inverse; it forms its
+    # Khatri-Rao products through linalg, one per mode on a cubical tensor
+    # and fewer on a lopsided one, whose smaller modes contract the
+    # largest other mode first
     calls = pinv_spy(monkeypatch)
     seen = []
     real_kr = linalg.khatri_rao
@@ -243,7 +246,53 @@ def test_sweep_solves_by_cholesky_with_numpy(monkeypatch):
         return real_kr(mats)
 
     monkeypatch.setattr(als, "khatri_rao", kr)
-    T = reconstruct(gen_random_ktensor((6, 5, 4), 3, seed=35))
-    _, rep = cp_als(T, 3, SolverOptions(max_iters=5, tol=0.0, seed=2))
+    for shape, per_sweep in [((5, 5, 5), 3), ((6, 6, 4), 2), ((3, 9, 4), 1)]:
+        seen.clear()
+        T = reconstruct(gen_random_ktensor(shape, 3, seed=35))
+        _, rep = cp_als(T, 3, SolverOptions(max_iters=5, tol=0.0, seed=2))
+        assert seen == [2] * per_sweep * rep.iterations
     assert calls == []
-    assert seen == [2] * 3 * rep.iterations
+
+
+def test_routes_read_one_unfolding_per_route_mode():
+    # the mode-reduced core shape: modes 0 and 2 read mode 1's unfolding
+    assert [als._route((48, 400, 20), n) for n in range(3)] == [1, 1, 1]
+    assert [als._route((20,) * 5, n) for n in range(5)] == list(range(5))
+    assert [als._route((4, 6, 6, 2), n) for n in range(4)] == [1, 1, 2, 1]
+    T = np.zeros((6, 2, 3))
+    assert sorted(als._unfoldings(T)) == [0]
+
+
+def lopsided_tensor(draw, order):
+    """A C-ordered, F-ordered or strided tensor of mixed mode sizes."""
+    shape = draw(st.lists(st.integers(1, 7), min_size=order,
+                          max_size=order))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if layout == "strided":
+        T = rng.standard_normal([2 * s for s in shape])[(slice(None, None, 2),)
+                                                         * order]
+    else:
+        T = np.asarray(rng.standard_normal(shape), order=layout)
+    return T, rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), order=st.integers(3, 5), J=st.integers(1, 6),
+       cache=st.booleans())
+def test_mttkrp_matches_khatri_rao_product(data, order, J, cache):
+    # every route equals the unfolding times the Khatri-Rao product of the
+    # other factors, with the unfoldings cached or formed in the sweep
+    T, rng = lopsided_tensor(data.draw, order)
+    factors = [rng.standard_normal((s, J)) for s in T.shape]
+    with pytest.MonkeyPatch.context() as mp:
+        if not cache:
+            mp.setattr(als, "UNFOLDING_CACHE_BYTES", 0)
+        unfoldings = als._unfoldings(T)
+    assert (unfoldings == {}) != cache
+    for n in range(order):
+        want = matricize(T, n) @ linalg.khatri_rao(
+            [A for p, A in enumerate(factors) if p != n])
+        got = als._mttkrp(T, factors, n, unfoldings)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

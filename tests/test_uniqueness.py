@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpdkit.ktensor import reconstruct
+from cpdkit import uniqueness
+from cpdkit.ktensor import KTensor, reconstruct
 from cpdkit.linalg import khatri_rao
 from cpdkit.synth import gen_random_ktensor
 from cpdkit.tensor import ModeSplit, matricize, tensorize
@@ -252,3 +253,23 @@ def test_mode_rank_rejects_non_finite():
     T[0, 1, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         mode_rank(T, 1)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mode_rank_reads_tensor_in_place(monkeypatch, order):
+    # a wide mode of a C- or F-contiguous tensor is read as a stack view,
+    # never matricized; the mode ranks differ, so reading the wrong mode
+    # shows
+    rng = np.random.default_rng(67)
+    factors = [rng.standard_normal((s, 3)) for s in (6, 5, 4, 3)]
+    factors[0][:, 1:] = factors[0][:, :1]                 # rank 1
+    factors[1][:, 2] = factors[1][:, 0] + factors[1][:, 1]  # rank 2
+    T = np.asarray(reconstruct(KTensor(factors)), order=order)
+    want = [full_svd_rank(matricize(T, n)) for n in range(4)]
+    assert want == [1, 2, 3, 3]
+    monkeypatch.setattr(uniqueness, "matricize", None)
+    assert [mode_rank(T, n) for n in range(4)] == want
+    assert [mode_rank(T, n, cap=2) for n in range(4)] == [1, 2, 2, 2]
+    strided = np.zeros((12, 5, 4, 3))
+    strided[::2] = T
+    assert [mode_rank(strided[::2], n) for n in range(4)] == want
