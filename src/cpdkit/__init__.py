@@ -6,7 +6,7 @@ from .bench import (BenchConfig, RunRecord, gcr, run_benchmark, sim1_config,
 from .krproj import kr_project, rank1_parallel_extract, rank1_power_iteration
 from .ktensor import (KTensor, MatchResult, fit, match_factors, msir,
                       normalize, read_ktns, reconstruct, write_ktns)
-from .linalg import hadamard, khatri_rao, ls_solve
+from .linalg import hadamard, khatri_rao
 from .mrcpd import (BoundReport, Compression, MrcpdOptions, compress_mode,
                     mrcpd_decompose, plan_unfolding, recover_merged_factor,
                     verify_error_bound)
@@ -27,7 +27,7 @@ __all__ = [
     "collinearity", "compress_mode", "cp_als", "fit", "frobenius_norm", "gcr",
     "gen_bottleneck_ktensor", "gen_random_ktensor", "get_solver", "hadamard",
     "khatri_rao", "kr_project", "krank_product_bound", "kruskal_rank",
-    "ksb_check", "ls_solve", "match_factors", "matricize", "mode_contract",
+    "ksb_check", "match_factors", "matricize", "mode_contract",
     "mode_rank", "mrcpd_decompose", "msir", "normalize", "plan_unfolding",
     "rank1_parallel_extract", "rank1_power_iteration", "read_ktns",
     "read_tnsr", "reconstruct", "recover_merged_factor", "reduce_modes",

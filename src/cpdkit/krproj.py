@@ -114,7 +114,7 @@ def rank1_power_iteration(T, nonneg: bool = False):
     return units, amp
 
 
-def kr_project(H, sizes, method: str | None = None, nonneg: bool = False):
+def kr_project(H, sizes, nonneg: bool = False):
     """Project merged-factor columns onto exact Kronecker structure.
 
     Parameters
@@ -125,13 +125,10 @@ def kr_project(H, sizes, method: str | None = None, nonneg: bool = False):
         are rejected.
     sizes : sequence of int, length P >= 2
         Row sizes of the per-mode factors to recover.
-    method : {None, "svd", "power"}
-        Per-mode singular vectors, or alternating (optionally nonnegative)
-        power iterations.  ``None`` lets ``nonneg`` choose: "power" with
-        it, "svd" without it.
     nonneg : bool
-        Keep every factor entry nonnegative; needs the power method, so
-        ``method="svd"`` rejects it.
+        Keep every factor entry nonnegative.  It picks the fitter: per-mode
+        singular vectors without it, alternating nonnegative power
+        iterations with it.
 
     Returns
     -------
@@ -153,13 +150,6 @@ def kr_project(H, sizes, method: str | None = None, nonneg: bool = False):
                          f"{int(np.prod(sizes))} rows")
     if not np.isfinite(H).all():
         raise ValueError("H has NaN or Inf entries")
-    if method is None:
-        method = "power" if nonneg else "svd"
-    if method not in ("svd", "power"):
-        raise ValueError(f"unknown KR projection method {method!r}")
-    if method == "svd" and nonneg:
-        raise ValueError("the nonneg constraint needs method 'power'; the "
-                         "svd projection drops it")
     J = H.shape[1]
     P = len(sizes)
     factors = [np.zeros((s, J)) for s in sizes]
@@ -170,10 +160,10 @@ def kr_project(H, sizes, method: str | None = None, nonneg: bool = False):
                           "zeroed", RuntimeWarning)
             continue
         block = tensor_from_vec(col, sizes)
-        if method == "svd":
-            units, amp = rank1_parallel_extract(block)
+        if nonneg:
+            units, amp = rank1_power_iteration(block, nonneg=True)
         else:
-            units, amp = rank1_power_iteration(block, nonneg)
+            units, amp = rank1_parallel_extract(block)
         for k in range(P - 1):
             factors[k][:, j] = units[k]
         factors[P - 1][:, j] = amp * units[P - 1]

@@ -182,36 +182,10 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
     return Vt[:r].T.copy(), s[:r].copy()
 
 
-def ls_solve(A, B) -> np.ndarray:
-    """Least-squares solution of ``A X = B`` for ``A`` of full column rank.
-
-    The numerical rank counts singular values above
-    ``max(A.shape) * eps * sigma_1``, the pseudo-inverse cutoff used
-    throughout the package; a rank below ``A.shape[1]`` raises
-    ``ValueError`` with a condition estimate.  A tall ``A`` is factored by
-    a thin QR: the singular values of the small ``R`` are those of ``A``,
-    and ``X`` solves ``R X = Q^T B``.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != B.shape[0]:
-        raise ValueError(f"incompatible shapes {A.shape} and {B.shape}")
-    m, n = A.shape
-    tall = m >= n
-    Q, R = np.linalg.qr(A) if tall else (None, A)
-    sv = np.linalg.svd(R, compute_uv=False)
-    rank = int(np.sum(sv > pinv_cutoff(A) * sv[0])) if sv.size else 0
-    if rank < n:
-        smin = sv[-1] if tall else 0.0
-        cond = sv[0] / smin if smin > 0 else np.inf
-        raise ValueError(f"least-squares matrix is numerically rank deficient "
-                         f"(rank {rank} of {n} columns, condition ~ "
-                         f"{cond:.3e})")
-    return np.linalg.solve(R, Q.T @ B)
-
-
 def pinv_cutoff(A) -> float:
-    """The relative singular-value cutoff used by :func:`ls_solve`."""
+    """The relative singular-value cutoff ``max(A.shape) * eps`` used by
+    the rank verdicts of :func:`compress_mode` and the pseudo-inverse
+    fall-back of the ALS normal-equation solve."""
     return max(np.asarray(A).shape) * np.finfo(np.float64).eps
 
 

@@ -4,9 +4,9 @@ The pipeline is one path: pick (or accept) a three-group mode split, merge
 the grouped modes, shrink the largest merged mode to at most J whitened
 SVD directions, run the solver registered as ``"als"`` on the third-order
 tensor (keeping the best of several restarts), re-estimate the compressed
-mode's factor by least squares against the uncompressed merged tensor, and
-split every merged factor back into per-mode factors by columnwise rank-1
-projection.
+mode's factor against the uncompressed merged tensor with one ALS mode
+update (the least-squares rule of every sweep), and split every merged
+factor back into per-mode factors by columnwise rank-1 projection.
 The final factors come with a certified error bound: writing ``e3`` for the
 third-order residual and ``eps_K`` for the (weighted) projection residual,
 
@@ -24,10 +24,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .als import SolverOptions, get_solver
+from .als import SolverOptions, _mttkrp, _solve_gram, get_solver
 from .krproj import kr_project
 from .ktensor import KTensor, normalize, reconstruct
-from .linalg import (_column_signs, khatri_rao, left_singular_pairs, ls_solve,
+from .linalg import (_column_signs, hadamard, khatri_rao, left_singular_pairs,
                      pinv_cutoff)
 from .tensor import ModeSplit, matricize, reduce_modes, tensorize
 from .uniqueness import krank_product_bound, mode_rank
@@ -66,7 +66,9 @@ class MrcpdOptions:
     where it picks the fitter: the SVD fit without it, nonnegative power
     iterations with it.  ``compression`` is always ``Compression("svd")``
     (kept for ``perfbench/``).  ``restarts`` reruns the inner solver from
-    fresh seeds and keeps the best fit.
+    the children that ``default_rng(solver_opts.seed).spawn`` makes, so the
+    seed may be an int, ``None``, a ``SeedSequence`` or a ``Generator``,
+    and keeps the best fit.
     """
 
     split: ModeSplit | None = None
@@ -182,10 +184,12 @@ def compress_mode(T3, mode: int, width: int):
 def recover_merged_factor(Y3, k: int, known_factors):
     """Least-squares estimate of merged factor ``k`` given the others.
 
-    Solves ``matricize(Y3, k) ~ G_k @ khatri_rao(known).T`` on the merged
-    tensor ``Y3`` (see :func:`reduce_modes`); the result absorbs the
-    component weights.  The Khatri-Rao product of the known factors must
-    have full column rank.
+    Fits ``matricize(Y3, k) ~ G_k @ khatri_rao(known).T`` on the merged
+    tensor ``Y3`` (see :func:`reduce_modes`) by one ALS mode update: the
+    MTTKRP times the inverse of the Hadamard product of the known factors'
+    Grams.  The result absorbs the component weights.  When the known
+    factors' Khatri-Rao product is numerically rank deficient, the Gram's
+    pseudo-inverse gives the minimum-norm solution.
     """
     Y3 = np.asarray(Y3, dtype=np.float64)
     if not 0 <= k < Y3.ndim:
@@ -193,8 +197,19 @@ def recover_merged_factor(Y3, k: int, known_factors):
     known = [np.asarray(A, dtype=np.float64) for A in known_factors]
     if len(known) != Y3.ndim - 1:
         raise ValueError(f"expected {Y3.ndim - 1} known factors, got {len(known)}")
-    B = khatri_rao(known)
-    return ls_solve(B, matricize(Y3, k).T).T
+    modes = [p for p in range(Y3.ndim) if p != k]
+    for i, (p, A) in enumerate(zip(modes, known)):
+        if A.ndim != 2 or A.shape[0] != Y3.shape[p]:
+            raise ValueError(f"known factor {i} has shape {A.shape}, but "
+                             f"merged mode {p} has {Y3.shape[p]} rows")
+        if A.shape[1] != known[0].shape[1]:
+            raise ValueError(f"known factor {i} has {A.shape[1]} columns, "
+                             f"known factor 0 has {known[0].shape[1]}")
+        if not np.isfinite(A).all():
+            raise ValueError(f"known factor {i} has NaN or Inf entries")
+    factors = known[:k] + [None] + known[k:]
+    W = _mttkrp(Y3, factors, k, {})
+    return _solve_gram(W, hadamard([A.T @ A for A in known]))
 
 
 def _residual_norm(T, kt: KTensor) -> float:
@@ -263,10 +278,7 @@ def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
     base = opts.solver_opts
     if opts.restarts == 1:
         return solver(Y3, J, base)
-    entropy = base.seed
-    if not isinstance(entropy, np.random.SeedSequence):
-        entropy = np.random.SeedSequence(entropy)
-    seeds = entropy.spawn(opts.restarts)
+    seeds = np.random.default_rng(base.seed).spawn(opts.restarts)
     best = None
     for s in seeds:
         kt, rep = solver(Y3, J, replace(base, seed=s))

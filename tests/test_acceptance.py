@@ -88,8 +88,11 @@ def test_criterion_2_kr_projection_exactness():
         sizes = tuple(int(s) for s in rng.integers(2, 9, P))
         J = int(rng.integers(1, 7))
         mats = [rng.standard_normal((s, J)) for s in sizes]
-        factors, eps = kr_project(khatri_rao(mats), sizes,
-                                  method="svd" if i % 4 < 2 else "power")
+        # nonneg picks the fitter: the power one runs on nonnegative data
+        nonneg = i % 4 >= 2
+        if nonneg:
+            mats = [np.abs(M) for M in mats]
+        factors, eps = kr_project(khatri_rao(mats), sizes, nonneg=nonneg)
         fac_err = 0.0
         for got, want in zip(factors, mats):
             for j in range(J):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cpdkit import bench
 from cpdkit.cli import (
     build_parser,
     format_split,
@@ -482,3 +483,20 @@ def test_decompose_infeasible_rank_is_one_line(tmp_path, capsys, rank):
                    f"merged 100x2x3 tensor; use a rank of at most 6 or "
                    f"another split\n")
     assert not outp.exists()
+
+
+def test_bench_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    # a mode-size override past the box's memory fails inside the data
+    # generator; stand that failure in for the real allocation
+    def too_big(cfg, stream):
+        raise MemoryError("Unable to allocate 358. GiB for an array")
+
+    monkeypatch.setattr(bench, "_gen_truth", too_big)
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", "sim1", "--runs", "1", "--seed", "0",
+                 "--scale", "1000", "--out", str(out_csv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 358. GiB for "
+                   "an array\n")
+    assert not out_csv.exists()

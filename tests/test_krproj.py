@@ -11,6 +11,7 @@ from cpdkit.krproj import (
     rank1_power_iteration,
 )
 from cpdkit.linalg import khatri_rao
+from cpdkit.tensor import tensor_from_vec
 from cpdkit.uniqueness import collinearity
 
 
@@ -92,10 +93,12 @@ def test_kr_project_known_column():
 
 def test_kr_project_exact_inputs():
     rng = np.random.default_rng(55)
-    for method in ("svd", "power"):
+    for nonneg in (False, True):
         mats = [rng.standard_normal((s, 4)) for s in (5, 3, 4)]
+        if nonneg:
+            mats = [np.abs(M) for M in mats]
         H = khatri_rao(mats)
-        factors, eps = kr_project(H, (5, 3, 4), method=method)
+        factors, eps = kr_project(H, (5, 3, 4), nonneg=nonneg)
         assert eps < 1e-10
         assert np.allclose(khatri_rao(factors), H, atol=1e-9)
         for got, want in zip(factors, mats):
@@ -143,17 +146,7 @@ def test_kr_project_validation():
     with pytest.raises(ValueError):
         kr_project(H, (3, 5))
     with pytest.raises(ValueError):
-        kr_project(H, (3, 4), method="magic")
-    with pytest.raises(ValueError):
         kr_project(np.zeros(12), (3, 4))
-
-
-def test_kr_project_svd_rejects_constraint():
-    H = khatri_rao([np.ones((3, 2)), np.eye(4, 2)])
-    with pytest.raises(ValueError, match="power"):
-        kr_project(H, (3, 4), method="svd", nonneg=True)
-    factors, _ = kr_project(H, (3, 4), method="power", nonneg=True)
-    assert all(np.all(F >= 0) for F in factors)
 
 
 def test_kr_project_constraint_picks_fitter():
@@ -161,11 +154,13 @@ def test_kr_project_constraint_picks_fitter():
     H = khatri_rao([rng.uniform(0.1, 1.0, (4, 3)),
                     rng.uniform(0.1, 1.0, (5, 3))])
     H += 0.01 * rng.standard_normal(H.shape)
-    for nonneg, method in ((False, "svd"), (True, "power")):
-        got, eps = kr_project(H, (4, 5), nonneg=nonneg)
-        want, eps_want = kr_project(H, (4, 5), method=method, nonneg=nonneg)
-        assert eps == eps_want
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    got, _ = kr_project(H, (4, 5), nonneg=True)
+    for j in range(3):
+        units, amp = rank1_power_iteration(tensor_from_vec(H[:, j], (4, 5)),
+                                           nonneg=True)
+        assert np.array_equal(got[0][:, j], units[0])
+        assert np.array_equal(got[1][:, j], amp * units[1])
+    assert all(np.all(F >= 0) for F in got)
 
 
 def exact_kr_input(data, low):
@@ -178,10 +173,10 @@ def exact_kr_input(data, low):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), method=st.sampled_from([None, "svd", "power"]))
-def test_kr_project_exact_on_khatri_rao_property(data, method):
+@given(data=st.data())
+def test_kr_project_exact_on_khatri_rao_property(data):
     H, sizes = exact_kr_input(data, -1.0)
-    _, eps = kr_project(H, sizes, method=method)
+    _, eps = kr_project(H, sizes)
     assert eps <= 1e-10 * np.linalg.norm(H)
 
 

@@ -1,8 +1,6 @@
 """Matrix kernel tests with brute-force oracles built from np.kron and the
 full SVD."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +12,6 @@ from cpdkit.linalg import (
     hadamard,
     khatri_rao,
     left_singular_pairs,
-    ls_solve,
     pinv_cutoff,
 )
 
@@ -111,44 +108,6 @@ def test_left_singular_pairs_verdicts_match_full_svd(case, data):
     assert U.shape == (M.shape[0], r) and s.shape == (r,)
     assert np.all(np.diff(s) <= 0)
     assert np.sum(s > 1e-8 * s[0]) == min(want, r)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 8), extra=st.integers(0, 32), k=st.integers(0, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_ls_solve_matches_lstsq_on_full_rank(n, extra, k, seed):
-    m = n + extra
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, n))
-    assume(np.linalg.cond(A) < 1e3)
-    B = rng.standard_normal((m, k) if k else m)
-    X = ls_solve(A, B)
-    want = np.linalg.lstsq(A, B, rcond=None)[0]
-    assert X.shape == want.shape
-    assert np.linalg.norm(X - want) <= 1e-10 * np.linalg.norm(want)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(m=st.integers(12, 40), r=st.integers(1, 5), extra=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_ls_solve_rank_deficient_message(m, r, extra, seed):
-    # extra columns are exact copies (times powers of two) of kept ones, or
-    # zero, so the rank is r exactly; a wide A is rank deficient as well
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((m, r))
-    picks = rng.integers(0, r + 1, extra)
-    copies = [X[:, j] * 2.0 ** rng.integers(-3, 4) if j < r
-              else np.zeros(m) for j in picks]
-    A = np.column_stack([X, *copies])
-    n = A.shape[1]
-    msg = re.escape(f"least-squares matrix is numerically rank deficient "
-                    f"(rank {r} of {n} columns, condition ~ ")
-    with pytest.raises(ValueError, match=msg):
-        ls_solve(A, rng.standard_normal(m))
-    wide = A[:r].copy()
-    msg = re.escape(f"(rank {r} of {n} columns, condition ~ inf)")
-    with pytest.raises(ValueError, match=msg):
-        ls_solve(wide, np.ones(r))
 
 
 def tsqr_calls(monkeypatch):
@@ -277,42 +236,6 @@ def test_left_singular_pairs_validation():
         left_singular_pairs(bad, 1e-8)
     _, s = left_singular_pairs(np.zeros((2, 3)), 1e-8)
     assert np.array_equal(s, [0.0, 0.0])
-
-
-def test_ls_solve_matches_normal_equations():
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((10, 4))
-    B = rng.standard_normal((10, 3))
-    X = ls_solve(A, B)
-    want = np.linalg.solve(A.T @ A, A.T @ B)
-    assert np.allclose(X, want, atol=1e-10)
-
-
-def test_ls_solve_rejects_rank_deficient():
-    rng = np.random.default_rng(14)
-    base = rng.standard_normal((8, 2))
-    A = np.hstack([base, base[:, :1]])    # rank 2, three columns
-    b = rng.standard_normal(8)
-    with pytest.raises(ValueError, match=r"rank deficient \(rank 2 of 3 "
-                                         r"columns, condition ~ "):
-        ls_solve(A, b)
-    with pytest.raises(ValueError, match="condition ~ inf"):
-        ls_solve(np.zeros((4, 2)), b[:4])
-    with pytest.raises(ValueError, match="condition ~ inf"):
-        ls_solve(base.T, b[:2])                 # more columns than rows
-    # the cutoff is pinv_cutoff: sigma_min <= max(shape) * eps * sigma_1
-    Q, _ = np.linalg.qr(base)
-    cut = pinv_cutoff(Q)
-    with pytest.raises(ValueError, match="rank 1 of 2"):
-        ls_solve(Q * [1.0, 0.5 * cut], b)
-    assert ls_solve(Q * [1.0, 4.0 * cut], b).shape == (2,)
-
-
-def test_ls_solve_validation():
-    with pytest.raises(ValueError):
-        ls_solve(np.zeros((3, 2)), np.zeros(4))
-    with pytest.raises(ValueError):
-        ls_solve(np.zeros(3), np.zeros(3))
 
 
 def test_column_signs():

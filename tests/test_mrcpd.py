@@ -1,16 +1,17 @@
 """Mode-reduction pipeline: split planning, compression, merged-factor
 recovery, the certified error bound, and the end-to-end decomposition."""
 
+import copy
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpdkit import mrcpd
-from cpdkit.als import SolverOptions
+from cpdkit import als, mrcpd
+from cpdkit.als import SolverOptions, cp_als
 from cpdkit.ktensor import KTensor, fit, normalize, reconstruct
 from cpdkit.linalg import (_column_signs, khatri_rao, left_singular_pairs,
                            pinv_cutoff)
@@ -226,9 +227,38 @@ def test_recover_merged_factor_validation():
         recover_merged_factor(Y3, 3, [truth.factors[2], truth.factors[3]])
     with pytest.raises(ValueError, match="known factors"):
         recover_merged_factor(Y3, 0, [truth.factors[2]])
+    with pytest.raises(ValueError, match=r"known factor 1 has shape \(3, 2\), "
+                                         "but merged mode 2 has 6 rows"):
+        recover_merged_factor(Y3, 0, [truth.factors[2], truth.factors[2]])
+    with pytest.raises(ValueError, match="known factor 1 has 3 columns"):
+        recover_merged_factor(Y3, 0, [truth.factors[2], np.ones((6, 3))])
+    bad = truth.factors[3].copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match="known factor 1 has NaN or Inf"):
+        recover_merged_factor(Y3, 0, [truth.factors[2], bad])
     dead = np.ones((3, 2))                         # collinear columns
-    with pytest.raises(ValueError, match="rank deficient"):
-        recover_merged_factor(Y3, 0, [dead, np.ones((6, 2))])
+    got = recover_merged_factor(Y3, 0, [dead, np.ones((6, 2))])
+    B = khatri_rao([dead, np.ones((6, 2))])
+    want = np.linalg.lstsq(B, matricize(Y3, 0).T, rcond=None)[0].T
+    assert np.isfinite(got).all()
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(2, 7), min_size=3, max_size=3),
+       k=st.integers(0, 2), J=st.integers(1, 4),
+       layout=st.sampled_from(["C", "F"]), seed=st.integers(0, 2 ** 30))
+def test_recover_merged_factor_matches_lstsq(sizes, k, J, layout, seed):
+    rng = np.random.default_rng(seed)
+    Y3 = np.asarray(rng.standard_normal(sizes), order=layout)
+    known = [rng.standard_normal((s, J))
+             for p, s in enumerate(sizes) if p != k]
+    B = khatri_rao(known)
+    assume(np.linalg.cond(B) < 100)
+    want = np.linalg.lstsq(B, matricize(Y3, k).T, rcond=None)[0].T
+    got = recover_merged_factor(Y3, k, known)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 # -------------------------------------------------------------- the bound
@@ -424,6 +454,34 @@ def test_decompose_restart_determinism():
     _, rep_b, bound_b = mrcpd_decompose(T, 3, opts)
     assert rep_a.final_fit == rep_b.final_fit
     assert bound_a.final_err == bound_b.final_err
+
+
+def test_decompose_restarts_take_any_seed(monkeypatch):
+    truth = gen_random_ktensor((5, 5, 5, 5), 3, seed=88)
+    T = reconstruct(truth)
+    seeds = []
+
+    def recording(T3, J, opts):
+        seeds.append(copy.deepcopy(opts.seed))
+        return cp_als(T3, J, opts)
+
+    monkeypatch.setitem(als._SOLVERS, "als", recording)
+    # int and SeedSequence seeds restart from their SeedSequence's children
+    for seed in (9, np.random.SeedSequence(9)):
+        seeds.clear()
+        mrcpd_decompose(T, 3, MrcpdOptions(solver_opts=solver_opts(seed),
+                                           restarts=3))
+        want = np.random.SeedSequence(9).spawn(3)
+        assert [np.random.default_rng(s).random(4).tolist() for s in seeds] \
+            == [np.random.default_rng(c).random(4).tolist() for c in want]
+    # a Generator seed spawns its own children, reproducibly
+    runs = []
+    for _ in range(2):
+        _, rep, bound = mrcpd_decompose(T, 3, MrcpdOptions(
+            solver_opts=solver_opts(np.random.default_rng(0)), restarts=2))
+        assert bound.holds
+        runs.append(rep.final_fit)
+    assert runs[0] == runs[1]
 
 
 def test_decompose_nonneg_projection():

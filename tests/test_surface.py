@@ -31,7 +31,7 @@ def test_exported_names():
         "cp_als", "fit", "frobenius_norm", "gcr", "gen_bottleneck_ktensor",
         "gen_random_ktensor", "get_solver", "hadamard", "khatri_rao",
         "kr_project", "krank_product_bound", "kruskal_rank", "ksb_check",
-        "ls_solve", "match_factors", "matricize", "mode_contract",
+        "match_factors", "matricize", "mode_contract",
         "mode_rank", "mrcpd_decompose", "msir", "normalize",
         "plan_unfolding", "rank1_parallel_extract", "rank1_power_iteration",
         "read_ktns", "read_tnsr", "reconstruct", "recover_merged_factor", "reduce_modes", "register_solver",
@@ -59,7 +59,7 @@ def test_kernel_parameters():
         return list(inspect.signature(fn).parameters)
 
     assert params(compress_mode) == ["T3", "mode", "width"]
-    assert params(kr_project) == ["H", "sizes", "method", "nonneg"]
+    assert params(kr_project) == ["H", "sizes", "nonneg"]
     assert params(rank1_power_iteration) == ["T", "nonneg"]
     assert params(mode_rank) == ["T", "n", "cap"]
     assert params(kruskal_rank) == ["M"]
