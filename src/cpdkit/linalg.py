@@ -104,11 +104,16 @@ def _tsqr_r(M) -> np.ndarray:
 
 
 def _deflated_residual(M, V) -> float:
-    """``||M - V @ (V.T @ M)||_F`` over :func:`_row_blocks`, so no
-    temporary larger than a block is made."""
+    """``||M - V @ (V.T @ M)||_F`` over :func:`_row_blocks`, with one
+    block-sized buffer for every block (the first block is the largest)."""
     total = 0.0
+    buf = None
     for Y in _row_blocks(M):
-        R = Y - (Y @ V) @ V.T
+        if buf is None:
+            buf = np.empty(Y.shape)
+        R = buf[:len(Y)]
+        np.matmul(Y @ V, V.T, out=R)
+        R -= Y
         total += float(np.vdot(R, R))
     return float(np.sqrt(total))
 

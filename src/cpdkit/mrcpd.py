@@ -3,10 +3,11 @@
 The pipeline is one path: pick (or accept) a three-group mode split, merge
 the grouped modes, shrink the largest merged mode to at most J whitened
 SVD directions, run the solver registered as ``"als"`` on the third-order
-tensor (keeping the best of several restarts), re-estimate the compressed
-mode's factor against the uncompressed merged tensor with one ALS mode
-update (the least-squares rule of every sweep), and split every merged
-factor back into per-mode factors by columnwise rank-1 projection.
+tensor (keeping the best of several restarts, and stopping once two of
+them agree), re-estimate the compressed mode's factor against the
+uncompressed merged tensor with one ALS mode update (the least-squares
+rule of every sweep), and split every merged factor back into per-mode
+factors by columnwise rank-1 projection.
 The final factors come with a certified error bound: writing ``e3`` for the
 third-order residual and ``eps_K`` for the (weighted) projection residual,
 
@@ -23,6 +24,7 @@ from math import prod
 from time import perf_counter
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .als import SolverOptions, _mttkrp, _solve_gram, get_solver
 from .krproj import kr_project
@@ -35,6 +37,11 @@ from .uniqueness import krank_product_bound, mode_rank
 BOUND_SLACK_REL = 1e-9
 # Inner sweep cap for library, CLI and bench: the compressed core is cheap.
 INNER_MAX_ITERS = 2500
+# Two restarts agree when their core fits are this close and every matched
+# component is this congruent; fit alone is not enough, because restarts
+# that end in one bad basin also agree on fit.
+AGREE_FIT_TOL = 1e-6
+AGREE_CONGRUENCE = 0.99
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,13 @@ class MrcpdOptions:
     starting point does not fit.  ``nonneg`` is passed to :func:`kr_project`,
     where it picks the fitter: the SVD fit without it, nonnegative power
     iterations with it.  ``compression`` is always ``Compression("svd")``
-    (kept for ``perfbench/``).  ``restarts`` reruns the inner solver from
-    the children that ``default_rng(solver_opts.seed).spawn`` makes, so the
-    seed may be an int, ``None``, a ``SeedSequence`` or a ``Generator``,
-    and keeps the best fit.
+    (kept for ``perfbench/``).  ``restarts`` is the most times the inner
+    solver runs, from the children that ``default_rng(solver_opts.seed)
+    .spawn`` makes, so the seed may be an int, ``None``, a ``SeedSequence``
+    (left unchanged) or a ``Generator``; the best fit is kept, and
+    restarting stops once two restarts agree (fits within
+    ``AGREE_FIT_TOL``, matched components at least ``AGREE_CONGRUENCE``
+    congruent).
     """
 
     split: ModeSplit | None = None
@@ -273,17 +283,45 @@ def _orient_for_nonneg(merged, group_modes):
     return merged
 
 
+def _min_congruence(a: KTensor, b: KTensor) -> float:
+    """Smallest per-component congruence of two KTensors after optimal
+    column matching: the congruence of columns i and j is the product over
+    modes of the |cosines| of their normalized factor columns."""
+    C = np.ones((a.rank, b.rank))
+    for A, B in zip(normalize(a, all_modes=True).factors,
+                    normalize(b, all_modes=True).factors):
+        C *= np.abs(A.T @ B)
+    rows, cols = linear_sum_assignment(-C)
+    return float(C[rows, cols].min())
+
+
 def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
-    """Run the registered solver ``restarts`` times, keep the best fit."""
+    """Run the registered solver up to ``restarts`` times, keep the best fit.
+
+    Restarting stops as soon as the best restart so far and another one
+    agree: fits within ``AGREE_FIT_TOL`` and a :func:`_min_congruence` of
+    at least ``AGREE_CONGRUENCE``.  Repeated fits from different starts
+    that reach the same loadings mark the minimum (Bro, Chemometr. Intell.
+    Lab. Syst. 38, 1997).  Seeds are the children of a copy of a
+    ``SeedSequence`` seed, because spawning advances the sequence it is
+    called on, and a repeated call must repeat.
+    """
     base = opts.solver_opts
     if opts.restarts == 1:
         return solver(Y3, J, base)
-    seeds = np.random.default_rng(base.seed).spawn(opts.restarts)
-    best = None
-    for s in seeds:
-        kt, rep = solver(Y3, J, replace(base, seed=s))
-        if best is None or rep.final_fit > best[1].final_fit:
-            best = (kt, rep)
+    seed = base.seed
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned)
+    runs = []
+    for s in np.random.default_rng(seed).spawn(opts.restarts):
+        runs.append(solver(Y3, J, replace(base, seed=s)))
+        best = max(runs, key=lambda run: run[1].final_fit)
+        if any(abs(best[1].final_fit - run[1].final_fit) <= AGREE_FIT_TOL
+               and _min_congruence(best[0], run[0]) >= AGREE_CONGRUENCE
+               for run in runs if run is not best):
+            break
     return best
 
 

@@ -467,11 +467,13 @@ def test_decompose_restarts_take_any_seed(monkeypatch):
 
     monkeypatch.setitem(als._SOLVERS, "als", recording)
     # int and SeedSequence seeds restart from their SeedSequence's children
+    # (restarts is a maximum: the ones that ran take the first children)
     for seed in (9, np.random.SeedSequence(9)):
         seeds.clear()
         mrcpd_decompose(T, 3, MrcpdOptions(solver_opts=solver_opts(seed),
                                            restarts=3))
-        want = np.random.SeedSequence(9).spawn(3)
+        assert 2 <= len(seeds) <= 3
+        want = np.random.SeedSequence(9).spawn(len(seeds))
         assert [np.random.default_rng(s).random(4).tolist() for s in seeds] \
             == [np.random.default_rng(c).random(4).tolist() for c in want]
     # a Generator seed spawns its own children, reproducibly
@@ -482,6 +484,89 @@ def test_decompose_restarts_take_any_seed(monkeypatch):
         assert bound.holds
         runs.append(rep.final_fit)
     assert runs[0] == runs[1]
+
+
+def test_decompose_repeats_with_one_seed_sequence():
+    # spawning restart seeds must not advance the caller's SeedSequence
+    truth = gen_random_ktensor((5, 4, 4, 3), 3, seed=90)
+    T = reconstruct(truth) + 0.05 * np.random.default_rng(91) \
+        .standard_normal((5, 4, 4, 3))
+    ss = np.random.SeedSequence(92)
+    opts = MrcpdOptions(solver_opts=solver_opts(ss, max_iters=30, tol=0.0),
+                        restarts=4)
+    est_a, rep_a, _ = mrcpd_decompose(T, 3, opts)
+    est_b, rep_b, _ = mrcpd_decompose(T, 3, opts)
+    assert rep_a.fit_trace == rep_b.fit_trace
+    for A, B in zip(est_a.factors, est_b.factors):
+        assert np.array_equal(A, B)
+    assert ss.n_children_spawned == 0
+
+
+def scripted_solver(results):
+    """A fake inner solver returning ``(KTensor, fit)`` pairs in order."""
+    calls = []
+
+    def solve(T3, J, opts):
+        kt, f = results[len(calls)]
+        calls.append(opts.seed)
+        return kt, als.SolveReport(iterations=1, fit_trace=[f], final_fit=f)
+    return solve, calls
+
+
+def basin(seed, J=3):
+    return KTensor([np.random.default_rng(seed).standard_normal((s, J))
+                    for s in (4, 5, 6)])
+
+
+def same_basin(kt, perm=(2, 0, 1)):
+    """``kt`` with its columns permuted, rescaled and sign-flipped."""
+    perm = list(perm)
+    return KTensor([-2.0 * kt.factors[0][:, perm], kt.factors[1][:, perm],
+                    0.5 * kt.factors[2][:, perm]])
+
+
+def test_restarts_stop_once_two_agree():
+    good = basin(1)
+    results = [(basin(2), 0.80), (good, 0.95), (basin(3), 0.85),
+               (same_basin(good), 0.95 + 5e-7), (basin(4), 0.70)]
+    solve, calls = scripted_solver(results)
+    kt, rep = mrcpd._solve_with_restarts(
+        solve, None, 3, MrcpdOptions(solver_opts=solver_opts(5), restarts=6))
+    assert len(calls) == 4
+    assert rep.final_fit == 0.95 + 5e-7
+    assert kt is results[3][0]
+
+
+def test_restarts_go_on_when_fits_agree_but_factors_do_not():
+    # two bad basins with equal fits, then nothing agrees: all restarts run
+    results = [(basin(5), 0.85), (basin(6), 0.85 + 5e-7), (basin(7), 0.60)]
+    solve, calls = scripted_solver(results)
+    _, rep = mrcpd._solve_with_restarts(
+        solve, None, 3, MrcpdOptions(solver_opts=solver_opts(5), restarts=3))
+    assert len(calls) == 3
+    assert rep.final_fit == 0.85 + 5e-7
+    assert mrcpd._min_congruence(basin(5), basin(6)) < mrcpd.AGREE_CONGRUENCE
+    # congruent factors but fits apart by more than the tolerance
+    good = basin(8)
+    solve, calls = scripted_solver(
+        [(good, 0.9), (same_basin(good), 0.9 + 2e-6), (basin(9), 0.5)])
+    mrcpd._solve_with_restarts(
+        solve, None, 3, MrcpdOptions(solver_opts=solver_opts(5), restarts=3))
+    assert len(calls) == 3
+    # equal fits, two of three components the same: the minimum decides
+    near = same_basin(good)
+    near.factors[1][:, 0] = basin(11).factors[1][:, 0]
+    solve, calls = scripted_solver([(good, 0.9), (near, 0.9), (basin(9), 0.5)])
+    mrcpd._solve_with_restarts(
+        solve, None, 3, MrcpdOptions(solver_opts=solver_opts(5), restarts=3))
+    assert len(calls) == 3
+
+
+def test_one_restart_calls_the_solver_once():
+    solve, calls = scripted_solver([(basin(10), 0.9), (basin(10), 0.9)])
+    mrcpd._solve_with_restarts(
+        solve, None, 3, MrcpdOptions(solver_opts=solver_opts(5), restarts=1))
+    assert calls == [5]
 
 
 def test_decompose_nonneg_projection():

@@ -167,7 +167,8 @@ def test_registry_hooks_seen_from_outside(monkeypatch):
             solver_opts=SolverOptions(max_iters=20, seed=1), restarts=3))
     finally:
         register_solver("als", original)
-    assert len(reports) == 3
+    # restarts=3 is a maximum: two restarts that agree end the search
+    assert 2 <= len(reports) <= 3
     kept = [r for r in reports if r.fit_trace is rep.fit_trace]
     assert len(kept) == 1
     assert kept[0].final_fit == max(r.final_fit for r in reports)
@@ -261,6 +262,48 @@ def test_routes_read_one_unfolding_per_route_mode():
     assert [als._route((4, 6, 6, 2), n) for n in range(4)] == [1, 1, 2, 1]
     T = np.zeros((6, 2, 3))
     assert sorted(als._unfoldings(T)) == [0]
+
+
+def test_route_product_is_recomputed_once_its_factor_is_replaced():
+    # modes 0 and 2 of a 4x9x3 tensor both contract mode 1 first; the
+    # second reuses mode 0's product until A_1 is replaced
+    rng = np.random.default_rng(37)
+    T = rng.standard_normal((4, 9, 3))
+    factors = [rng.standard_normal((s, 2)) for s in T.shape]
+    routed = {}
+    for n in (0, 2):
+        assert np.array_equal(als._mttkrp(T, factors, n, {}, routed),
+                              als._mttkrp(T, factors, n, {}))
+    Zt = routed[1][1]
+    als._mttkrp(T, factors, 2, {}, routed)
+    assert routed[1][1] is Zt
+    factors[1] = factors[1] + 1.0
+    assert np.array_equal(als._mttkrp(T, factors, 0, {}, routed),
+                          als._mttkrp(T, factors, 0, {}))
+    assert routed[1][0] is factors[1] and routed[1][1] is not Zt
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("shape", [(4, 12, 3), (3, 10, 4, 2), (4, 6, 6, 2)])
+def test_route_reuse_leaves_cp_als_bitwise_unchanged(monkeypatch, shape,
+                                                     layout):
+    rng = np.random.default_rng(38)
+    if layout == "strided":
+        T = rng.standard_normal([2 * s for s in shape])[
+            (slice(None, None, 2),) * len(shape)]
+    else:
+        T = np.asarray(rng.standard_normal(shape), order=layout)
+    opts = SolverOptions(max_iters=15, tol=0.0, seed=3)
+    kt_a, rep_a = cp_als(T, 3, opts)
+    real = als._mttkrp
+    monkeypatch.setattr(
+        als, "_mttkrp", lambda T, factors, n, unfoldings, routed: real(
+            T, factors, n, unfoldings, {}))
+    kt_b, rep_b = cp_als(T, 3, opts)
+    assert rep_a.fit_trace == rep_b.fit_trace
+    for A, B in zip(kt_a.factors, kt_b.factors):
+        assert np.array_equal(A, B)
+    assert np.array_equal(kt_a.weights, kt_b.weights)
 
 
 def lopsided_tensor(draw, order):
