@@ -25,6 +25,7 @@ CSV_COLUMNS = ("method", "run", "fit_noiseless", "fit_observed", "msir_mean",
 
 BENCH_METHODS = ("als", "mrcpd")
 BENCH_TOL = 1e-8
+BENCH_ALS_MAX_ITERS = 100     # the direct solver's sweep cap only
 GCR_THRESHOLD = 0.99
 MRCPD_BENCH_RESTARTS = 6
 
@@ -37,7 +38,6 @@ class BenchConfig:
     snr_db: float | None
     runs: int
     seed: int
-    max_iters: int = 100          # the direct solver's sweep cap only
 
     def __post_init__(self):
         if self.runs < 1:
@@ -93,8 +93,8 @@ def run_benchmark(cfg: BenchConfig, out_csv=None) -> list[RunRecord]:
         for method, mss in zip(BENCH_METHODS, method_ss):
             eps_k = bound_slack = None
             if method == "als":
-                sopts = SolverOptions(max_iters=cfg.max_iters, tol=BENCH_TOL,
-                                      seed=mss)
+                sopts = SolverOptions(max_iters=BENCH_ALS_MAX_ITERS,
+                                      tol=BENCH_TOL, seed=mss)
                 est, rep = cp_als(Y_obs, cfg.rank, sopts)
             else:
                 # The 3-way solves are cheap after compression, so buy

@@ -75,6 +75,9 @@ def _cmd_decompose(args) -> int:
             if value != default:
                 raise ValueError(f"{flag} is for --method mrcpd; "
                                  "--method als does not use it")
+    elif args.init is not None:
+        raise ValueError("--init is for --method als; "
+                         "--method mrcpd does not use it")
     T = read_tnsr(args.input)
     init = read_ktns(args.init) if args.init else None
     if args.max_iters is None:

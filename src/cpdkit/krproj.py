@@ -3,115 +3,91 @@
 A merged factor matrix has columns that should be Kronecker products of
 per-mode columns.  Projecting back means fitting, for every column, the
 nearest rank-1 tensor after reshaping the column into the group's mode
-sizes (canonical order).  Two fitters are available: independent dominant
-singular vectors per mode unfolding, and alternating power iterations that
-can clamp negative entries to zero after every update.  Nonnegativity picks
-the fitter: without it the closed-form SVD fit, with it the power one.
+sizes (canonical order).  All columns are fitted at once as one stack of
+column tensors: the dominant left singular vectors of every mode unfolding
+give the directions, and under nonnegativity alternating power updates that
+clamp negative entries to zero refine them.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .linalg import _column_signs, khatri_rao
-from .tensor import matricize, mode_contract, tensor_from_vec
 
 POWER_MAX_ITERS = 200
 POWER_TOL = 1e-10
 
 
-def _rank1_assemble(T, units):
-    """Least-squares amplitude for a fixed set of unit directions."""
-    last = T.ndim - 1
-    w = mode_contract(T, units[:-1], skip=last)
-    return float(w @ units[last])
+def _contract(X, vectors, skip=None):
+    """Contract each column tensor ``X[j]`` with ``vectors[m][j]`` on every
+    mode ``m`` except ``skip``; ``vectors[m]`` has shape ``(J, I_m)``."""
+    P = X.ndim - 1
+    operands = [X, [P, *range(P)]]
+    for m, v in enumerate(vectors):
+        if m != skip:
+            operands += [v, [P, m]]
+    return np.einsum(*operands, [P] if skip is None else [P, skip])
 
 
-def rank1_parallel_extract(T):
-    """Best rank-1 directions taken independently per mode.
+def _nonneg_power(H, X, units, amp, norms):
+    """Alternating nonnegative rank-1 updates of every column tensor
+    ``X[j]``, column ``j`` of ``H`` folded.
 
-    Returns ``(units, amplitude)`` where ``units`` are the dominant left
-    singular vectors of each mode unfolding and ``amplitude`` is the
-    least-squares scale of their outer product.  Exact for rank-1 inputs.
+    Starts from the singular directions ``units`` scaled by ``|amp|`` (or
+    the column norm) and oriented to a nonnegative sum, so the clamp keeps
+    mass instead of zeroing a whole vector.  Each step replaces
+    one mode's vector by the contraction of ``X[j]`` with all the others,
+    divided by their squared norms (the exact one-mode least-squares
+    solution), and clamps its negative entries to zero.  Column ``j`` stops
+    once its residual changes by at most ``POWER_TOL * norms[j]`` between
+    sweeps, or after ``POWER_MAX_ITERS`` sweeps (then it warns and keeps
+    the last iterate).  A column collapses when an update meets a zero
+    vector among the others: it warns, and its vectors are zeroed.
     """
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim < 2:
-        raise ValueError("rank-1 extraction needs an order >= 2 tensor")
-    units = []
-    for k in range(T.ndim):
-        M = matricize(T, k)
-        if not M.any():
-            return [np.zeros(s) for s in T.shape], 0.0
-        units.append(np.linalg.svd(M, full_matrices=False)[0][:, 0].copy())
-    return units, _rank1_assemble(T, units)
-
-
-def _rank1_dense(vectors):
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = np.multiply.outer(out, v)
-    return out
-
-
-def rank1_power_iteration(T, nonneg: bool = False):
-    """Alternating rank-1 updates, optionally nonnegative.
-
-    Each step replaces one mode's vector by the contraction of ``T`` with
-    all the others, divided by their squared norms (the exact one-mode
-    least-squares solution), and under ``nonneg`` clamps its negative
-    entries to zero.  Without ``nonneg`` the residual is nonincreasing.
-    Stops when the residual change drops below ``POWER_TOL`` relative to
-    ``||T||_F`` or after ``POWER_MAX_ITERS`` sweeps (then it warns and
-    returns the last iterate).
-
-    Returns ``(units, amplitude)`` like :func:`rank1_parallel_extract`;
-    under ``nonneg`` the amplitude is clamped to be nonnegative so the
-    scaled last vector stays nonnegative too.
-    """
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim < 2:
-        raise ValueError("rank-1 iteration needs an order >= 2 tensor")
-    normT = float(np.linalg.norm(T))
-    if normT == 0:
-        return [np.zeros(s) for s in T.shape], 0.0
-    # Singular-vector start; oriented positively so the nonneg clamp keeps
-    # mass instead of zeroing the whole vector.
-    units, amp = rank1_parallel_extract(T)
-    scale = (abs(amp) if amp != 0 else normT) ** (1.0 / T.ndim)
+    J, P = X.shape[0], X.ndim - 1
+    scale = np.where(amp != 0, np.abs(amp), norms) ** (1.0 / P)
     vecs = []
     for u in units:
-        if u.sum() < 0:
-            u = -u
-        vecs.append(np.maximum(u * scale, 0.0) if nonneg else u * scale)
-    prev = None
-    converged = False
+        u = np.where(u.sum(axis=1, keepdims=True) < 0, -u, u)
+        vecs.append(np.maximum(u * scale[:, None], 0.0))
+    active = norms > 0
+    collapsed = np.zeros(J, dtype=bool)
+    prev = np.full(J, np.nan)
     for _ in range(POWER_MAX_ITERS):
-        for k in range(T.ndim):
-            others = [vecs[p] for p in range(T.ndim) if p != k]
-            denom = np.prod([v @ v for v in others])
-            if denom == 0:
-                warnings.warn("rank-1 iteration collapsed to zero", RuntimeWarning)
-                return [np.zeros(s) for s in T.shape], 0.0
-            w = mode_contract(T, others, skip=k) / denom
-            vecs[k] = np.maximum(w, 0.0) if nonneg else w
-        resid = float(np.linalg.norm(T - _rank1_dense(vecs)))
-        if prev is not None and abs(prev - resid) <= POWER_TOL * normT:
-            converged = True
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        prev = resid
-    if not converged:
-        warnings.warn("rank-1 iteration hit the sweep cap; returning the "
+        Xa = X[idx]
+        va = [v[idx] for v in vecs]
+        dead = np.zeros(idx.size, dtype=bool)
+        for k in range(P):
+            denom = np.prod([np.einsum("ja,ja->j", v, v)
+                             for m, v in enumerate(va) if m != k], axis=0)
+            dead |= denom == 0
+            denom[dead] = 1.0
+            w = np.maximum(_contract(Xa, va, skip=k) / denom[:, None], 0.0)
+            w[dead] = 0.0
+            va[k] = w
+        resid = np.linalg.norm(H[:, idx] - khatri_rao([v.T for v in va]),
+                               axis=0)
+        done = np.abs(prev[idx] - resid) <= POWER_TOL * norms[idx]
+        for v, v_new in zip(vecs, va):
+            v[idx] = v_new
+        prev[idx] = resid
+        collapsed[idx[dead]] = True
+        active[idx[dead | done]] = False
+    if collapsed.any():
+        warnings.warn(f"rank-1 iteration collapsed to zero on columns "
+                      f"{np.flatnonzero(collapsed).tolist()}", RuntimeWarning)
+    if active.any():
+        warnings.warn(f"rank-1 iteration hit the sweep cap on columns "
+                      f"{np.flatnonzero(active).tolist()}; returning the "
                       "last iterate", RuntimeWarning)
-    norms = [float(np.linalg.norm(v)) for v in vecs]
-    if 0.0 in norms:
-        return [np.zeros(s) for s in T.shape], 0.0
-    units = [v / n for v, n in zip(vecs, norms)]
-    amp = _rank1_assemble(T, units)
-    if nonneg and amp < 0:
-        amp = 0.0
-    return units, amp
+    return vecs
 
 
 def kr_project(H, sizes, nonneg: bool = False):
@@ -126,9 +102,8 @@ def kr_project(H, sizes, nonneg: bool = False):
     sizes : sequence of int, length P >= 2
         Row sizes of the per-mode factors to recover.
     nonneg : bool
-        Keep every factor entry nonnegative.  It picks the fitter: per-mode
-        singular vectors without it, alternating nonnegative power
-        iterations with it.
+        Keep every factor entry nonnegative: the singular-vector fit is
+        refined by alternating nonnegative power updates.
 
     Returns
     -------
@@ -145,28 +120,35 @@ def kr_project(H, sizes, nonneg: bool = False):
         raise ValueError("need at least two mode sizes to split a column")
     if min(sizes) < 1:
         raise ValueError(f"mode sizes must be >= 1, got {sizes}")
-    if H.ndim != 2 or H.shape[0] != int(np.prod(sizes)):
+    rows = math.prod(sizes)
+    if H.ndim != 2 or H.shape[0] != rows:
         raise ValueError(f"H has {H.shape} but mode sizes {sizes} imply "
-                         f"{int(np.prod(sizes))} rows")
+                         f"{rows} rows")
     if not np.isfinite(H).all():
         raise ValueError("H has NaN or Inf entries")
-    J = H.shape[1]
-    P = len(sizes)
-    factors = [np.zeros((s, J)) for s in sizes]
-    for j in range(J):
-        col = H[:, j]
-        if not col.any():
-            warnings.warn(f"column {j} is identically zero; its factors are "
-                          "zeroed", RuntimeWarning)
-            continue
-        block = tensor_from_vec(col, sizes)
-        if nonneg:
-            units, amp = rank1_power_iteration(block, nonneg=True)
-        else:
-            units, amp = rank1_parallel_extract(block)
-        for k in range(P - 1):
-            factors[k][:, j] = units[k]
-        factors[P - 1][:, j] = amp * units[P - 1]
+    J, P = H.shape[1], len(sizes)
+    # X[j] is column j folded into its order-P tensor (canonical order).
+    X = H.T.reshape((J, *sizes), order="F")
+    norms = np.linalg.norm(H, axis=0)
+    zero = norms == 0
+    for j in np.flatnonzero(zero):
+        warnings.warn(f"column {j} is identically zero; its factors are "
+                      "zeroed", RuntimeWarning)
+    units = [np.linalg.svd(np.moveaxis(X, k + 1, 1).reshape(J, s, -1),
+                           full_matrices=False)[0][:, :, 0]
+             for k, s in enumerate(sizes)]
+    amp = _contract(X, units)
+    if nonneg:
+        vecs = _nonneg_power(H, X, units, amp, norms)
+        lengths = [np.linalg.norm(v, axis=1) for v in vecs]
+        zero |= np.min(lengths, axis=0) == 0
+        units = [v / np.where(n == 0, 1.0, n)[:, None]
+                 for v, n in zip(vecs, lengths)]
+        amp = np.maximum(_contract(X, units), 0.0)
+    factors = [u.T.copy() for u in units]
+    factors[-1] *= amp
+    for F in factors:
+        F[:, zero] = 0.0
     # Orient unit columns; each sign goes into the amplitude-bearing last
     # factor, so the column product is unchanged.
     for k in range(P - 1):

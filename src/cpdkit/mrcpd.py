@@ -70,9 +70,9 @@ class MrcpdOptions:
     sweeps) drives every inner solve; its ``init`` must be ``None``, because
     the inner solver sees the merged third-order tensor, which an order-N
     starting point does not fit.  ``nonneg`` is passed to :func:`kr_project`,
-    where it picks the fitter: the SVD fit without it, nonnegative power
-    iterations with it.  ``compression`` is always ``Compression("svd")``
-    (kept for ``perfbench/``).  ``restarts`` is the most times the inner
+    where it refines the SVD fit by nonnegative power updates.
+    ``compression`` is always ``Compression("svd")`` (kept for
+    ``perfbench/``).  ``restarts`` is the most times the inner
     solver runs, from the children that ``default_rng(solver_opts.seed)
     .spawn`` makes, so the seed may be an int, ``None``, a ``SeedSequence``
     (left unchanged) or a ``Generator``; the best fit is kept, and

@@ -73,33 +73,6 @@ class ModeSplit:
         return tuple(prod(shape[p] for p in g) for g in self.group_modes())
 
 
-def vectorize(T) -> np.ndarray:
-    """Canonical (mode-1-fastest) vectorization of a tensor."""
-    return _as_tensor(T).ravel(order="F")
-
-
-def tensor_from_vec(vec, shape) -> np.ndarray:
-    """Rebuild a tensor from its canonical vectorization.
-
-    Parameters
-    ----------
-    vec : array_like
-        Entries in canonical order, length ``prod(shape)``.
-    shape : tuple of int
-        Target mode sizes.
-    """
-    vec = np.asarray(vec, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    if vec.ndim != 1 or vec.size != prod(shape):
-        raise ValueError(f"vector of length {vec.size} does not fill shape {shape}")
-    return vec.reshape(shape, order="F")
-
-
-def frobenius_norm(T) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(T, dtype=np.float64)))
-
-
 def matricize(T, n: int) -> np.ndarray:
     """Mode-``n`` matricization.
 
@@ -152,30 +125,6 @@ def reduce_modes(T, split: ModeSplit) -> np.ndarray:
         raise ValueError(f"split covers {len(split.perm)} modes, tensor has {T.ndim}")
     permuted = np.transpose(T, split.perm)
     return permuted.reshape(split.group_sizes(T.shape), order="F")
-
-
-def mode_contract(T, vectors, skip: int) -> np.ndarray:
-    """Contract every mode except ``skip`` with a vector.
-
-    ``vectors`` holds one vector per remaining mode, ordered by mode index.
-    The result is a vector of length ``T.shape[skip]`` and equals
-    ``matricize(T, skip) @ v`` where ``v`` is the Kronecker stack of the
-    vectors with the lowest-numbered mode varying fastest.
-    """
-    T = _as_tensor(T)
-    if not 0 <= skip < T.ndim:
-        raise ValueError(f"mode {skip} out of range for order-{T.ndim} tensor")
-    modes = [m for m in range(T.ndim) if m != skip]
-    if len(vectors) != len(modes):
-        raise ValueError(f"expected {len(modes)} vectors, got {len(vectors)}")
-    out = T
-    for m, v in sorted(zip(modes, vectors), key=lambda mv: -mv[0]):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (T.shape[m],):
-            raise ValueError(f"vector for mode {m} has shape {v.shape}, "
-                             f"expected ({T.shape[m]},)")
-        out = np.tensordot(out, v, axes=(m, 0))
-    return out
 
 
 def _write_container(path, magic: bytes, counts, shape, payload) -> None:
@@ -244,4 +193,4 @@ def read_tnsr(path) -> np.ndarray:
     _, shape, values = _read_container(
         path, TNSR_MAGIC, 1, "order must be positive, got {0}",
         lambda counts, shape: prod(shape), "values")
-    return tensor_from_vec(values, shape)
+    return values.reshape(shape, order="F")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cpdkit.bench import (
+    BENCH_ALS_MAX_ITERS,
     CSV_COLUMNS,
     BenchConfig,
     RunRecord,
@@ -25,14 +26,14 @@ from cpdkit.bench import (
 
 def tiny_config(**overrides):
     base = BenchConfig(name="tiny", shape=(6, 6, 6, 6), rank=2, snr_db=30.0,
-                       runs=2, seed=5, max_iters=150)
+                       runs=2, seed=5)
     return dataclasses.replace(base, **overrides)
 
 
 def test_standard_configs():
     cfg1 = sim1_config(runs=10, seed=7)
     assert (cfg1.shape, cfg1.rank, cfg1.snr_db) == ((20,) * 5, 48, 20.0)
-    assert cfg1.max_iters == 100
+    assert BENCH_ALS_MAX_ITERS == 100
     cfg2 = sim2_config(runs=3, seed=1, scale=25)
     assert (cfg2.name, cfg2.shape, cfg2.rank) == ("sim2", (25,) * 5, 5)
 

@@ -95,23 +95,6 @@ def test_decompose_with_init(tmp_path, capsys):
     assert fit(reconstruct(truth), reconstruct(est)) > 1 - 1e-6
 
 
-def test_decompose_mrcpd_rejects_init(tmp_path, capsys):
-    truth = gen_random_ktensor((4, 3, 4, 3), 2, seed=208)
-    inp = tmp_path / "t.tnsr"
-    initp = tmp_path / "init.ktns"
-    outp = tmp_path / "est.ktns"
-    write_tnsr(inp, reconstruct(truth))
-    write_ktns(initp, truth)
-    code = main(["decompose", "--input", str(inp), "--rank", "2",
-                 "--method", "mrcpd", "--init", str(initp),
-                 "--output", str(outp)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "init" in err
-    assert err.count("\n") == 1
-    assert not outp.exists()
-
-
 @pytest.mark.parametrize("command", ["decompose", "krproj"])
 def test_constraint_runs_power_fitter(tmp_path, capsys, command):
     # a constraint picks the power fitter; no second flag is needed
@@ -259,6 +242,23 @@ def test_decompose_als_rejects_mrcpd_flags(tmp_path, capsys, flag, value):
     assert captured.err.startswith("error:") and flag in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+    assert not outp.exists()
+
+
+def test_decompose_mrcpd_rejects_init(tmp_path, capsys):
+    truth = gen_random_ktensor((4, 3, 4, 3), 2, seed=208)
+    inp = tmp_path / "t.tnsr"
+    initp = tmp_path / "init.ktns"
+    outp = tmp_path / "est.ktns"
+    write_tnsr(inp, reconstruct(truth))
+    write_ktns(initp, truth)
+    code = main(["decompose", "--input", str(inp), "--rank", "2",
+                 "--method", "mrcpd", "--init", str(initp),
+                 "--output", str(outp)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: --init is for --method als; --method mrcpd "
+                   "does not use it\n")
     assert not outp.exists()
 
 

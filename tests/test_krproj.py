@@ -1,17 +1,13 @@
-"""Rank-1 extraction kernels and the merged-factor splitting step."""
+"""The merged-factor splitting step: batched rank-1 fits of every column."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdkit.krproj import (
-    kr_project,
-    rank1_parallel_extract,
-    rank1_power_iteration,
-)
+from cpdkit.krproj import kr_project
 from cpdkit.linalg import khatri_rao
-from cpdkit.tensor import tensor_from_vec
+from cpdkit.tensor import matricize
 from cpdkit.uniqueness import collinearity
 
 
@@ -22,60 +18,99 @@ def outer(vectors):
     return out
 
 
+def svd_reference(H, sizes):
+    """Column by column: dominant left singular vector of every mode
+    unfolding, least-squares amplitude on the last mode, and the sign of
+    each unit column's first non-negligible entry moved into the last."""
+    factors = [np.zeros((s, H.shape[1])) for s in sizes]
+    for j in range(H.shape[1]):
+        T = H[:, j].reshape(sizes, order="F")
+        units = [np.linalg.svd(matricize(T, k))[0][:, 0]
+                 for k in range(len(sizes))]
+        units[-1] = units[-1] * np.vdot(outer(units), T)
+        for k, u in enumerate(units[:-1]):
+            lead = u[np.argmax(np.abs(u) > 1e-12 * np.abs(u).max())]
+            if lead < 0:
+                units[k], units[-1] = -u, -units[-1]
+        for F, u in zip(factors, units):
+            F[:, j] = u
+    return factors
+
+
+# sizes and column counts of the ported single-column kernel checks:
+# P = 2 and P = 3, one column and several
+CASES = [(sizes, J) for sizes in [(4, 5), (4, 5, 3)] for J in (1, 3)]
+
+
 def test_parallel_extract_exact_rank1():
     rng = np.random.default_rng(51)
-    vecs = [rng.standard_normal(s) for s in (4, 5, 3)]
-    T = 2.5 * outer([v / np.linalg.norm(v) for v in vecs])
-    units, amp = rank1_parallel_extract(T)
-    assert np.allclose(amp * outer(units), T, atol=1e-10)
-    assert abs(amp) == pytest.approx(2.5, rel=1e-10)
-    for u in units:
-        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    for sizes, J in CASES:
+        mats = [rng.standard_normal((s, J)) for s in sizes]
+        mats = [M / np.linalg.norm(M, axis=0) for M in mats]
+        H = 2.5 * khatri_rao(mats)
+        factors, eps = kr_project(H, sizes)
+        assert eps < 1e-10
+        assert np.allclose(khatri_rao(factors), H, atol=1e-10)
+        assert np.allclose(np.linalg.norm(factors[-1], axis=0), 2.5,
+                           rtol=1e-10)
+        for F in factors[:-1]:
+            assert np.allclose(np.linalg.norm(F, axis=0), 1.0, atol=1e-12)
 
 
 def test_parallel_extract_zero_tensor():
-    units, amp = rank1_parallel_extract(np.zeros((3, 4)))
-    assert amp == 0.0
-    assert all(not u.any() for u in units)
-    with pytest.raises(ValueError):
-        rank1_parallel_extract(np.zeros(3))
+    for sizes, J in CASES:
+        with pytest.warns(RuntimeWarning, match="identically zero"):
+            factors, eps = kr_project(np.zeros((np.prod(sizes), J)), sizes)
+        assert eps == 0.0
+        assert all(not F.any() for F in factors)
 
 
 def test_power_iteration_exact_rank1():
     rng = np.random.default_rng(52)
-    vecs = [rng.standard_normal(s) for s in (5, 4, 3)]
-    T = outer(vecs)
-    units, amp = rank1_power_iteration(T)
-    assert np.allclose(amp * outer(units), T, atol=1e-10)
-
-
-def test_power_iteration_beats_parallel_on_rank2():
-    # parallel extraction is only a heuristic once rank exceeds 1; the
-    # alternating update must do at least as well
-    rng = np.random.default_rng(53)
-    T = outer([rng.standard_normal(4) for _ in range(3)])
-    T += 0.8 * outer([rng.standard_normal(s) for s in (4, 4, 4)])
-    u_par, a_par = rank1_parallel_extract(T)
-    u_pow, a_pow = rank1_power_iteration(T)
-    r_par = np.linalg.norm(T - a_par * outer(u_par))
-    r_pow = np.linalg.norm(T - a_pow * outer(u_pow))
-    assert r_pow <= r_par + 1e-12
+    for sizes, J in CASES:
+        mats = [rng.uniform(0.0, 1.0, (s, J)) for s in sizes]
+        H = khatri_rao(mats)
+        factors, eps = kr_project(H, sizes, nonneg=True)
+        assert eps < 1e-10
+        assert np.allclose(khatri_rao(factors), H, atol=1e-10)
 
 
 def test_power_iteration_nonneg_constraint():
+    # mixed-sign columns: the clamp keeps every entry nonnegative; at P = 2,
+    # where the singular-vector split is optimal, it can only lose fit
     rng = np.random.default_rng(54)
-    vecs = [rng.uniform(0.1, 1.0, s) for s in (4, 5)]
-    T = outer(vecs)
-    units, amp = rank1_power_iteration(T, nonneg=True)
-    assert amp >= 0
-    for u in units:
-        assert np.all(u >= 0)
-    assert np.allclose(amp * outer(units), T, atol=1e-8)
+    for sizes, J in CASES:
+        mats = [rng.uniform(0.1, 1.0, (s, J)) for s in sizes]
+        H = khatri_rao(mats) + 0.2 * rng.standard_normal((np.prod(sizes), J))
+        factors, eps = kr_project(H, sizes, nonneg=True)
+        assert all(np.all(F >= 0) for F in factors)
+        if len(sizes) == 2:
+            assert eps >= kr_project(H, sizes)[1] - 1e-12
+        assert eps == pytest.approx(np.linalg.norm(H - khatri_rao(factors)),
+                                    rel=1e-12)
 
 
 def test_power_iteration_zero_tensor():
-    units, amp = rank1_power_iteration(np.zeros((3, 3)))
-    assert amp == 0.0
+    for sizes, J in CASES:
+        with pytest.warns(RuntimeWarning, match="identically zero"):
+            factors, eps = kr_project(np.zeros((np.prod(sizes), J)), sizes,
+                                      nonneg=True)
+        assert eps == 0.0
+        assert all(not F.any() for F in factors)
+
+
+def test_kr_project_nonneg_collapse_warns_once():
+    # a negative column has no nonnegative rank-1 fit: its factors are
+    # zeroed and one warning names it
+    H = np.array([[1.0, -1.0, 2.0], [2.0, -2.0, 1.0], [3.0, -3.0, 2.0],
+                  [4.0, -4.0, 1.0]])
+    with pytest.warns(RuntimeWarning) as record:
+        factors, eps = kr_project(H, (2, 2), nonneg=True)
+    assert [str(w.message) for w in record] == [
+        "rank-1 iteration collapsed to zero on columns [1]"]
+    assert all(not F[:, 1].any() and F[:, [0, 2]].all() for F in factors)
+    assert eps == pytest.approx(np.linalg.norm(H - khatri_rao(factors)),
+                                rel=1e-12)
 
 
 def test_kr_project_known_column():
@@ -147,20 +182,35 @@ def test_kr_project_validation():
         kr_project(H, (3, 5))
     with pytest.raises(ValueError):
         kr_project(np.zeros(12), (3, 4))
+    # the implied row count is exact, not wrapped around in int64
+    with pytest.raises(ValueError, match="imply 221360928884514619392 rows"):
+        kr_project(H, (2 ** 32, 2 ** 32, 12))
 
 
-def test_kr_project_constraint_picks_fitter():
-    rng = np.random.default_rng(59)
-    H = khatri_rao([rng.uniform(0.1, 1.0, (4, 3)),
-                    rng.uniform(0.1, 1.0, (5, 3))])
-    H += 0.01 * rng.standard_normal(H.shape)
-    got, _ = kr_project(H, (4, 5), nonneg=True)
-    for j in range(3):
-        units, amp = rank1_power_iteration(tensor_from_vec(H[:, j], (4, 5)),
-                                           nonneg=True)
-        assert np.array_equal(got[0][:, j], units[0])
-        assert np.array_equal(got[1][:, j], amp * units[1])
-    assert all(np.all(F >= 0) for F in got)
+@pytest.mark.filterwarnings("ignore:rank-1 iteration collapsed")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), nonneg=st.booleans())
+def test_kr_project_fits_each_column_alone_property(data, nonneg):
+    # every column is fitted as if it were projected on its own, and the
+    # unconstrained fit is the per-column singular-vector split
+    P = data.draw(st.integers(2, 3))
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=P, max_size=P))
+    J = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 30)))
+    H = khatri_rao([rng.uniform(0.0, 1.0, (s, J)) for s in sizes])
+    H += rng.uniform(0.0, 0.3, J) * rng.standard_normal(H.shape)
+    factors, eps = kr_project(H, sizes, nonneg=nonneg)
+    tol = 1e-12 * np.linalg.norm(H)
+    for j in range(J):
+        alone, _ = kr_project(H[:, [j]], sizes, nonneg=nonneg)
+        for F, G in zip(factors, alone):
+            assert np.linalg.norm(F[:, j] - G[:, 0]) <= tol
+    if not nonneg:
+        for F, G in zip(factors, svd_reference(H, sizes)):
+            assert np.linalg.norm(F - G) <= tol
+        assert eps == pytest.approx(
+            np.linalg.norm(H - khatri_rao(svd_reference(H, sizes))),
+            rel=1e-12)
 
 
 def exact_kr_input(data, low):

@@ -12,7 +12,7 @@ from pathlib import Path
 import cpdkit
 from cpdkit.bench import BenchConfig
 from cpdkit.cli import build_parser
-from cpdkit.krproj import kr_project, rank1_power_iteration
+from cpdkit.krproj import kr_project
 from cpdkit.mrcpd import Compression, MrcpdOptions, compress_mode
 from cpdkit.uniqueness import kruskal_rank, mode_rank
 
@@ -28,16 +28,15 @@ def test_exported_names():
         "ModeSplit", "MrcpdOptions", "RunRecord", "SolveReport",
         "SolverOptions", "UniquenessReport", "add_noise",
         "check_unfolded_uniqueness", "collinearity", "compress_mode",
-        "cp_als", "fit", "frobenius_norm", "gcr", "gen_bottleneck_ktensor",
+        "cp_als", "fit", "gcr", "gen_bottleneck_ktensor",
         "gen_random_ktensor", "get_solver", "hadamard", "khatri_rao",
         "kr_project", "krank_product_bound", "kruskal_rank", "ksb_check",
-        "match_factors", "matricize", "mode_contract",
-        "mode_rank", "mrcpd_decompose", "msir", "normalize",
-        "plan_unfolding", "rank1_parallel_extract", "rank1_power_iteration",
-        "read_ktns", "read_tnsr", "reconstruct", "recover_merged_factor", "reduce_modes", "register_solver",
-        "run_benchmark", "sim1_config", "sim2_config", "summarize",
-        "tensor_from_vec", "tensorize", "vectorize", "verify_error_bound",
-        "write_csv", "write_ktns", "write_tnsr"]
+        "match_factors", "matricize", "mode_rank", "mrcpd_decompose", "msir",
+        "normalize", "plan_unfolding", "read_ktns", "read_tnsr",
+        "reconstruct", "recover_merged_factor", "reduce_modes",
+        "register_solver", "run_benchmark", "sim1_config", "sim2_config",
+        "summarize", "tensorize", "verify_error_bound", "write_csv",
+        "write_ktns", "write_tnsr"]
 
 
 def test_mrcpd_options_fields():
@@ -47,7 +46,7 @@ def test_mrcpd_options_fields():
 
 def test_bench_config_fields():
     assert [f.name for f in dataclasses.fields(BenchConfig)] == [
-        "name", "shape", "rank", "snr_db", "runs", "seed", "max_iters"]
+        "name", "shape", "rank", "snr_db", "runs", "seed"]
 
 
 def test_compression_fields():
@@ -60,7 +59,6 @@ def test_kernel_parameters():
 
     assert params(compress_mode) == ["T3", "mode", "width"]
     assert params(kr_project) == ["H", "sizes", "nonneg"]
-    assert params(rank1_power_iteration) == ["T", "nonneg"]
     assert params(mode_rank) == ["T", "n", "cap"]
     assert params(kruskal_rank) == ["M"]
 

@@ -12,14 +12,10 @@ from hypothesis import strategies as st
 from cpdkit.tensor import (
     ModeSplit,
     TNSR_MAGIC,
-    frobenius_norm,
     matricize,
-    mode_contract,
     read_tnsr,
     reduce_modes,
-    tensor_from_vec,
     tensorize,
-    vectorize,
     write_tnsr,
 )
 
@@ -39,24 +35,8 @@ def matricize_oracle(T, n):
     return out
 
 
-def test_vectorize_canonical_order():
-    T = tensor_from_vec(np.arange(1.0, 9.0), (2, 2, 2))
-    assert np.array_equal(vectorize(T), np.arange(1.0, 9.0))
-    # first mode varies fastest
-    assert T[1, 0, 0] == 2.0
-    assert T[0, 1, 0] == 3.0
-    assert T[0, 0, 1] == 5.0
-
-
-def test_tensor_from_vec_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        tensor_from_vec(np.arange(7.0), (2, 2, 2))
-    with pytest.raises(ValueError):
-        tensor_from_vec(np.zeros((2, 2)), (2, 2))
-
-
 def test_matricize_known_cube():
-    T = tensor_from_vec(np.arange(1.0, 9.0), (2, 2, 2))
+    T = np.arange(1.0, 9.0).reshape((2, 2, 2), order="F")
     assert np.array_equal(matricize(T, 0), [[1, 3, 5, 7], [2, 4, 6, 8]])
     assert np.array_equal(matricize(T, 1), [[1, 2, 5, 6], [3, 4, 7, 8]])
     assert np.array_equal(matricize(T, 2), [[1, 2, 3, 4], [5, 6, 7, 8]])
@@ -117,8 +97,9 @@ def test_reduce_modes_preserves_entries():
     Y = reduce_modes(T, split)
     assert Y.shape == (8, 10, 3)
     # entries untouched: canonical vectorizations agree after the permutation
-    assert np.array_equal(vectorize(Y), vectorize(np.transpose(T, split.perm)))
-    assert frobenius_norm(Y) == pytest.approx(frobenius_norm(T), rel=1e-15)
+    assert np.array_equal(Y.ravel(order="F"),
+                          np.transpose(T, split.perm).ravel(order="F"))
+    assert np.linalg.norm(Y) == pytest.approx(np.linalg.norm(T), rel=1e-15)
 
 
 def test_reduce_modes_singleton_groups_is_transpose():
@@ -130,7 +111,7 @@ def test_reduce_modes_singleton_groups_is_transpose():
 
 def test_reduce_modes_merged_index_layout():
     # merged index runs over the group's modes with the first listed fastest
-    T = tensor_from_vec(np.arange(24.0), (2, 3, 4))
+    T = np.arange(24.0).reshape((2, 3, 4), order="F")
     Y = reduce_modes(T, ModeSplit((0, 1, 2), (0, 2, 3)))
     for i in range(2):
         for j in range(3):
@@ -141,32 +122,6 @@ def test_reduce_modes_merged_index_layout():
 def test_reduce_modes_rejects_wrong_order():
     with pytest.raises(ValueError):
         reduce_modes(np.zeros((2, 2, 2)), ModeSplit((0, 1, 2, 3), (0, 2, 4)))
-
-
-def test_mode_contract_matches_einsum():
-    rng = np.random.default_rng(11)
-    T = rng.standard_normal((3, 4, 5, 2))
-    vecs = [rng.standard_normal(s) for s in (3, 5, 2)]
-    got = mode_contract(T, vecs, skip=1)
-    want = np.einsum("ijkl,i,k,l->j", T, *vecs)
-    assert np.allclose(got, want, atol=1e-12)
-    # documented identity against the matricized form
-    B = np.kron(vecs[2], np.kron(vecs[1], vecs[0]))
-    assert np.allclose(got, matricize(T, 1) @ B, atol=1e-12)
-
-
-def test_mode_contract_validation():
-    T = np.zeros((2, 3, 4))
-    with pytest.raises(ValueError):
-        mode_contract(T, [np.zeros(3)], skip=0)
-    with pytest.raises(ValueError):
-        mode_contract(T, [np.zeros(3), np.zeros(5)], skip=0)
-    with pytest.raises(ValueError):
-        mode_contract(T, [np.zeros(3), np.zeros(4)], skip=7)
-
-
-def test_frobenius_norm():
-    assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
 
 
 def test_tnsr_round_trip(tmp_path):
@@ -303,5 +258,5 @@ def test_reduce_modes_is_a_transpose_property(data):
     perm = data.draw(st.permutations(range(N)))
     inner = data.draw(st.sets(st.integers(1, N - 1), min_size=1))
     split = ModeSplit(perm, (0, *sorted(inner), N))
-    assert np.array_equal(vectorize(reduce_modes(T, split)),
-                          vectorize(np.transpose(T, split.perm)))
+    assert np.array_equal(reduce_modes(T, split).ravel(order="F"),
+                          np.transpose(T, split.perm).ravel(order="F"))
