@@ -87,9 +87,9 @@ def _cmd_decompose(args) -> int:
                           seed=args.seed, init=init)
     if args.method == "als":
         kt, rep = cp_als(T, args.rank, sopts)
-        print(f"method=als fit={float(rep.final_fit)!r} "
-              f"runtime_s={rep.runtime_s:.3f} "
-              f"iterations={rep.iterations} converged={rep.converged}")
+        line = (f"method=als fit={float(rep.final_fit)!r} "
+                f"runtime_s={rep.runtime_s:.3f} "
+                f"iterations={rep.iterations} converged={rep.converged}")
     else:
         opts = MrcpdOptions(
             split=parse_split(args.split) if args.split else None,
@@ -97,11 +97,12 @@ def _cmd_decompose(args) -> int:
             nonneg=args.nonneg)
         kt, rep, bound = mrcpd_decompose(T, args.rank, opts)
         norm_t = float(np.linalg.norm(T))
-        print(f"method=mrcpd fit={float(1.0 - bound.final_err / norm_t)!r} "
-              f"runtime_s={rep.runtime_s:.3f} iterations={rep.iterations} "
-              f"converged={rep.converged} eps_k={float(bound.eps_k)!r} "
-              f"bound_slack={float(bound.bound - bound.final_err)!r}")
+        line = (f"method=mrcpd fit={float(1.0 - bound.final_err / norm_t)!r} "
+                f"runtime_s={rep.runtime_s:.3f} iterations={rep.iterations} "
+                f"converged={rep.converged} eps_k={float(bound.eps_k)!r} "
+                f"bound_slack={float(bound.bound - bound.final_err)!r}")
     write_ktns(args.output, kt)
+    print(line)
     return 0
 
 

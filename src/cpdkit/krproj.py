@@ -124,6 +124,8 @@ def kr_project(H, sizes, nonneg: bool = False):
     if H.ndim != 2 or H.shape[0] != rows:
         raise ValueError(f"H has {H.shape} but mode sizes {sizes} imply "
                          f"{rows} rows")
+    if H.shape[1] < 1:
+        raise ValueError("H has 0 columns; it needs at least 1")
     if not np.isfinite(H).all():
         raise ValueError("H has NaN or Inf entries")
     J, P = H.shape[1], len(sizes)

@@ -15,9 +15,8 @@ from math import prod
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .linalg import khatri_rao
+from .linalg import _congruence, khatri_rao
 from .tensor import _read_container, _write_container
-from .uniqueness import collinearity
 
 KTNS_MAGIC = b"KTNS"
 
@@ -151,56 +150,41 @@ class MatchResult:
     sir_db: np.ndarray
 
 
-def _zscore(col):
-    mu = col.mean()
-    sd = col.std()
-    if sd == 0:
-        return None
-    return (col - mu) / sd
-
-
-def _sir_db(ref_col, est_col) -> float:
-    """SIR in dB of one matched column pair, after z-scoring + sign."""
-    zr = _zscore(ref_col)
-    ze = _zscore(est_col)
-    if zr is None or ze is None:
-        return float("nan")
-    if zr @ ze < 0:
-        ze = -ze
-    num = zr @ zr
-    den = float(np.linalg.norm(zr - ze) ** 2)
-    if den <= num * 10.0 ** (-MSIR_CAP_DB / 10.0):
-        return MSIR_CAP_DB
-    return min(MSIR_CAP_DB, 10.0 * np.log10(num / den))
+def _sir_db(ref, est) -> np.ndarray:
+    """SIR in dB of every column pair ``ref[:, j]``, ``est[:, j]`` after
+    z-scoring and sign alignment, capped at ``MSIR_CAP_DB``; NaN where
+    either column is constant (all entries equal)."""
+    def zscore(M):
+        sd = M.std(axis=0)
+        return (M - M.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    zr, ze = zscore(ref), zscore(est)
+    ze *= np.where(np.einsum("ij,ij->j", zr, ze) < 0, -1.0, 1.0)
+    num, den = np.square(zr).sum(axis=0), np.square(zr - ze).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = np.where(den <= num * 10.0 ** (-MSIR_CAP_DB / 10.0), MSIR_CAP_DB,
+                       np.minimum(MSIR_CAP_DB, 10.0 * np.log10(num / den)))
+    constant = (np.ptp(ref, axis=0) == 0) | (np.ptp(est, axis=0) == 0)
+    return np.where(constant, np.nan, sir)
 
 
 def match_factors(ref, est) -> MatchResult:
     """Bijectively match estimate columns to reference columns.
 
-    The assignment maximizes the total absolute collinearity; reference
-    columns are never reused.  Works on raw columns, so it is insensitive to
-    the per-column scale/sign ambiguity of CP factors.
+    The assignment maximizes the total column congruence (absolute cosine,
+    :func:`~cpdkit.linalg._congruence`); reference columns are never
+    reused.  Works on raw columns, so it is insensitive to the per-column
+    scale/sign ambiguity of CP factors.
     """
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {est.shape}")
-    J = ref.shape[1]
-    affinity = np.zeros((J, J))
-    for j in range(J):
-        for m in range(J):
-            if ref[:, j].any() and est[:, m].any():
-                affinity[j, m] = abs(collinearity(ref[:, j], est[:, m]))
-    rows, cols = linear_sum_assignment(-affinity)
-    perm = tuple(int(cols[np.argmax(rows == j)]) for j in range(J))
-    scales = np.zeros(J)
-    sir = np.zeros(J)
-    for j in range(J):
-        e = est[:, perm[j]]
-        den = e @ e
-        scales[j] = (ref[:, j] @ e) / den if den > 0 else 0.0
-        sir[j] = _sir_db(ref[:, j], e)
-    return MatchResult(perm, scales, sir)
+    # The rows of a square assignment come back as 0..J-1, in order.
+    _, perm = linear_sum_assignment(-_congruence(ref, est))
+    E = est[:, perm]
+    den = np.einsum("ij,ij->j", E, E)
+    scales = np.einsum("ij,ij->j", ref, E) / np.where(den > 0, den, 1.0)
+    return MatchResult(tuple(perm.tolist()), scales, _sir_db(ref, E))
 
 
 def msir(ref, est) -> float:

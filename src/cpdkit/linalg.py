@@ -5,6 +5,7 @@ layout: ``khatri_rao([A, B])`` equals ``B (kr) A`` in the usual columnwise
 Kronecker notation, i.e. the first listed matrix varies fastest down the
 rows.  This makes ``matricize(reconstruct(kt), n)`` equal
 ``A_n @ khatri_rao(all other factors, in mode order).T`` with no reordering.
+It also holds the one column-congruence rule and the one seed rule.
 """
 
 from __future__ import annotations
@@ -202,3 +203,24 @@ def _column_signs(U) -> np.ndarray:
     first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
     lead = U[first, np.arange(U.shape[1])]
     return np.where(lead < 0, -1.0, 1.0)
+
+
+def _congruence(A, B) -> np.ndarray:
+    """``|cosine|`` between every column of ``A`` and every column of ``B``
+    (a ``J_A x J_B`` matrix); a zero column scores 0 against everything.
+    Columns are scaled to unit norm before the one product."""
+    def unit(M):
+        norms = np.linalg.norm(M, axis=0)
+        return M / np.where(norms > 0, norms, 1.0)
+    return np.abs(unit(A).T @ unit(B))
+
+
+def _spawn_rngs(seed, n: int) -> list:
+    """``n`` generators spawned from an int, ``None``, a ``SeedSequence``
+    or a ``Generator`` seed.  A ``SeedSequence`` is spawned from a copy,
+    since spawning advances it, so a repeated call with one repeats."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned)
+    return np.random.default_rng(seed).spawn(n)

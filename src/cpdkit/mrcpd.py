@@ -29,8 +29,8 @@ from scipy.optimize import linear_sum_assignment
 from .als import SolverOptions, _mttkrp, _solve_gram, get_solver
 from .krproj import kr_project
 from .ktensor import KTensor, normalize, reconstruct
-from .linalg import (_column_signs, hadamard, khatri_rao, left_singular_pairs,
-                     pinv_cutoff)
+from .linalg import (_column_signs, _congruence, _spawn_rngs, hadamard,
+                     khatri_rao, left_singular_pairs, pinv_cutoff)
 from .tensor import ModeSplit, matricize, reduce_modes, tensorize
 from .uniqueness import krank_product_bound, mode_rank
 
@@ -286,11 +286,9 @@ def _orient_for_nonneg(merged, group_modes):
 def _min_congruence(a: KTensor, b: KTensor) -> float:
     """Smallest per-component congruence of two KTensors after optimal
     column matching: the congruence of columns i and j is the product over
-    modes of the |cosines| of their normalized factor columns."""
-    C = np.ones((a.rank, b.rank))
-    for A, B in zip(normalize(a, all_modes=True).factors,
-                    normalize(b, all_modes=True).factors):
-        C *= np.abs(A.T @ B)
+    modes of the |cosines| of their factor columns."""
+    C = np.prod([_congruence(A, B) for A, B in zip(a.factors, b.factors)],
+                axis=0)
     rows, cols = linear_sum_assignment(-C)
     return float(C[rows, cols].min())
 
@@ -302,20 +300,14 @@ def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
     agree: fits within ``AGREE_FIT_TOL`` and a :func:`_min_congruence` of
     at least ``AGREE_CONGRUENCE``.  Repeated fits from different starts
     that reach the same loadings mark the minimum (Bro, Chemometr. Intell.
-    Lab. Syst. 38, 1997).  Seeds are the children of a copy of a
-    ``SeedSequence`` seed, because spawning advances the sequence it is
-    called on, and a repeated call must repeat.
+    Lab. Syst. 38, 1997).  Seeds come from :func:`_spawn_rngs`, so a
+    repeated call with one ``SeedSequence`` repeats.
     """
     base = opts.solver_opts
     if opts.restarts == 1:
         return solver(Y3, J, base)
-    seed = base.seed
-    if isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(
-            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
-            n_children_spawned=seed.n_children_spawned)
     runs = []
-    for s in np.random.default_rng(seed).spawn(opts.restarts):
+    for s in _spawn_rngs(base.seed, opts.restarts):
         runs.append(solver(Y3, J, replace(base, seed=s)))
         best = max(runs, key=lambda run: run[1].final_fit)
         if any(abs(best[1].final_fit - run[1].final_fit) <= AGREE_FIT_TOL

@@ -5,16 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .ktensor import KTensor
-from .uniqueness import collinearity
+from .linalg import _congruence, _spawn_rngs
 
 BOTTLENECK_MIN_RHO = 0.9
 SINE_FREQ_HZ = 2.0
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def gen_random_ktensor(shape, J: int, seed=None) -> KTensor:
@@ -44,8 +38,7 @@ def _collinear_factor(rng, I, J):
 
 
 def _max_neighbor_rho(A):
-    J = A.shape[1]
-    return max(collinearity(A[:, j], A[:, j + 1]) for j in range(J - 1))
+    return np.diagonal(_congruence(A, A), 1).max()
 
 
 def gen_bottleneck_ktensor(I: int, J: int = 5, seed=None) -> KTensor:
@@ -57,15 +50,15 @@ def gen_bottleneck_ktensor(I: int, J: int = 5, seed=None) -> KTensor:
     ``(j+5)*pi/50``; mode 4 is plain standard normal.  The generator asserts
     a neighboring collinearity above 0.9 in each random-walk mode; to stay
     deterministic per seed without rare failures it redraws those two modes
-    from spawned substreams (up to 16 attempts) before giving up.
+    from spawned substreams (up to 16 attempts) before giving up.  ``seed``
+    may be an int, ``None``, a ``SeedSequence`` (left unchanged, so a
+    repeated call repeats) or a ``Generator``.
     """
     if J < 2:
         raise ValueError("the bottleneck construction needs rank >= 2")
     if I < 3:
         raise ValueError("mode size too small to be meaningful")
-    ss = _seed_sequence(seed)
-    children = ss.spawn(17)
-    rng_rest = np.random.default_rng(children[0])
+    rng_rest, *attempt_rngs = _spawn_rngs(seed, 17)
 
     t = np.linspace(0.0, 1.0, I)
     ranks = np.arange(1, J + 1)
@@ -73,8 +66,7 @@ def gen_bottleneck_ktensor(I: int, J: int = 5, seed=None) -> KTensor:
     A4 = np.sin(2.0 * np.pi * SINE_FREQ_HZ * t[:, None] + (ranks + 5) * np.pi / 50.0)
     A5 = rng_rest.standard_normal((I, J))
 
-    for attempt in range(1, 17):
-        rng = np.random.default_rng(children[attempt])
+    for rng in attempt_rngs:
         A1 = _collinear_factor(rng, I, J)
         A2 = _collinear_factor(rng, I, J)
         if (_max_neighbor_rho(A1) > BOTTLENECK_MIN_RHO

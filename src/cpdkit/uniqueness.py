@@ -15,7 +15,7 @@ from math import prod
 
 import numpy as np
 
-from .linalg import left_singular_pairs
+from .linalg import _congruence, left_singular_pairs
 from .tensor import ModeSplit, matricize
 
 KRUSKAL_RANK_MAX_COLS = 12
@@ -24,13 +24,11 @@ RANK_RTOL = 1e-8          # relative singular-value cutoff of every rank test
 
 def collinearity(u, v) -> float:
     """Absolute cosine between two vectors, in [0, 1]."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
+    u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
+    v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
+    if not (u.any() and v.any()):
         raise ValueError("collinearity is undefined for zero vectors")
-    return float(abs(u @ v) / (nu * nv))
+    return float(_congruence(u, v)[0, 0])
 
 
 def _rank(s) -> int:

@@ -405,6 +405,28 @@ def test_krproj_rejects_non_finite_input(tmp_path, capsys):
     assert_one_line_error(capsys, "NaN or Inf")
 
 
+def test_krproj_zero_columns_is_one_line(tmp_path, capsys):
+    inp = tmp_path / "h.tnsr"
+    write_tnsr(inp, np.zeros((12, 0)))
+    assert main(["krproj", "--input", str(inp), "--shape", "4,3"]) == 1
+    assert_one_line_error(capsys, "H has 0 columns")
+
+
+@pytest.mark.parametrize("method", ["als", "mrcpd"])
+def test_decompose_unwritable_output_prints_no_result(tmp_path, capsys,
+                                                      method):
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, reconstruct(gen_random_ktensor((4, 3, 4, 3), 2,
+                                                   seed=211)))
+    code = main(["decompose", "--input", str(inp), "--rank", "2",
+                 "--method", method, "--seed", "0", "--max-iters", "20",
+                 "--output", str(tmp_path / "absent" / "o.ktns")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_analyze_ktensor_rank_must_match(tmp_path, capsys):
     inp = tmp_path / "f.ktns"
     write_ktns(inp, gen_random_ktensor((6, 5, 4), 3, seed=210))

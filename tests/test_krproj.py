@@ -185,6 +185,8 @@ def test_kr_project_validation():
     # the implied row count is exact, not wrapped around in int64
     with pytest.raises(ValueError, match="imply 221360928884514619392 rows"):
         kr_project(H, (2 ** 32, 2 ** 32, 12))
+    with pytest.raises(ValueError, match="H has 0 columns"):
+        kr_project(np.zeros((12, 0)), (3, 4))
 
 
 @pytest.mark.filterwarnings("ignore:rank-1 iteration collapsed")

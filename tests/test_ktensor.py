@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cpdkit import ktensor
 from cpdkit.ktensor import (
@@ -175,6 +176,75 @@ def test_match_factors_recovers_permutation_and_scale():
         aligned = res.scales[j] * est[:, res.perm[j]]
         assert np.allclose(aligned, ref[:, j], atol=1e-12)
     assert np.all(res.sir_db >= 299.0)
+
+
+def match_reference(ref, est):
+    """Per-pair matching: the |cosine| of every column pair in a Python
+    loop (zero columns score 0), then each matched pair's scale and its SIR
+    after z-scoring and sign alignment (NaN when a column is constant)."""
+    J = ref.shape[1]
+    affinity = np.zeros((J, J))
+    for j in range(J):
+        for m in range(J):
+            u, v = ref[:, j], est[:, m]
+            if u.any() and v.any():
+                affinity[j, m] = abs(u @ v) / (np.linalg.norm(u)
+                                               * np.linalg.norm(v))
+    _, perm = linear_sum_assignment(-affinity)
+    scales, sir = np.zeros(J), np.full(J, np.nan)
+    for j, m in enumerate(perm):
+        u, v = ref[:, j], est[:, m]
+        if v @ v > 0:
+            scales[j] = (u @ v) / (v @ v)
+        if np.ptp(u) > 0 and np.ptp(v) > 0:
+            zu = (u - u.mean()) / u.std()
+            zv = (v - v.mean()) / v.std()
+            zv = -zv if zu @ zv < 0 else zv
+            num, den = zu @ zu, (zu - zv) @ (zu - zv)
+            sir[j] = (300.0 if den <= num * 1e-30
+                      else min(300.0, 10.0 * np.log10(num / den)))
+    return affinity, perm, scales, sir
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_match_factors_matches_per_pair_reference(data):
+    I = data.draw(st.integers(2, 9))
+    J = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 30)))
+    ref = rng.standard_normal((I, J)) * rng.uniform(0.1, 10.0, J)
+    est = (ref[:, rng.permutation(J)] * rng.uniform(-3.0, 3.0, J)
+           + data.draw(st.sampled_from([0.0, 1e-6, 0.1, 1.0]))
+           * rng.standard_normal((I, J)))
+    # zero and constant columns, in either factor
+    for M in (ref, est):
+        kind = data.draw(st.sampled_from(["none", "zero", "constant"]))
+        col = data.draw(st.integers(0, J - 1))
+        if kind == "zero":
+            M[:, col] = 0.0
+        elif kind == "constant":
+            M[:, col] = 0.1
+    res = match_factors(ref, est)
+    affinity, perm, scales, sir = match_reference(ref, est)
+    assert sorted(res.perm) == list(range(J))
+    # pairs with a zero column are tied with every other column
+    untied = [j for j in range(J) if affinity[j, perm[j]] > 0]
+    assert all(res.perm[j] == perm[j] for j in untied)
+    assert np.all(np.abs(res.scales - scales) <= 1e-12 * np.abs(scales))
+    assert np.array_equal(np.isnan(res.sir_db), np.isnan(sir))
+    done = ~np.isnan(sir)
+    assert np.all(np.abs(res.sir_db[done] - sir[done]) <= 1e-6)
+
+
+def test_match_factors_constant_column_is_nan():
+    # 0.1 seven times has a nonzero std in floating point, but is constant
+    ref = np.random.default_rng(28).standard_normal((7, 2))
+    est = ref.copy()
+    est[:, 1] = 0.1
+    res = match_factors(ref, est)
+    assert res.sir_db[0] == 300.0 and np.isnan(res.sir_db[1])
+    with pytest.raises(ValueError, match="constant"):
+        msir(ref, est)
 
 
 def test_match_factors_shape_mismatch():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cpdkit import linalg
 from cpdkit.linalg import (
     _column_signs,
+    _congruence,
+    _spawn_rngs,
     hadamard,
     khatri_rao,
     left_singular_pairs,
@@ -251,3 +253,32 @@ def test_column_signs():
 def test_pinv_cutoff_formula():
     A = np.zeros((10, 4))
     assert pinv_cutoff(A) == 10 * np.finfo(np.float64).eps
+
+
+def test_congruence_values():
+    A = np.array([[1.0, 0.0, 0.0],
+                  [0.0, 0.0, 2.0]])
+    B = np.array([[-3.0, 1.0],
+                  [0.0, 1.0]])
+    C = _congruence(A, B)
+    assert C.shape == (3, 2)
+    assert C[0, 0] == 1.0 and C[2, 0] == 0.0
+    assert C[0, 1] == pytest.approx(1 / np.sqrt(2))
+    # a zero column scores 0 against everything, itself included
+    assert np.array_equal(C[1], [0.0, 0.0])
+    assert np.array_equal(_congruence(A, A)[1], np.zeros(3))
+
+
+def test_spawn_rngs_seed_rule():
+    def draw(rngs):
+        return [g.random() for g in rngs]
+
+    want = [np.random.default_rng(c).random()
+            for c in np.random.SeedSequence(5).spawn(3)]
+    assert draw(_spawn_rngs(5, 3)) == want
+    # a SeedSequence is not advanced, so it repeats
+    ss = np.random.SeedSequence(5)
+    assert draw(_spawn_rngs(ss, 3)) == want == draw(_spawn_rngs(ss, 3))
+    assert ss.n_children_spawned == 0
+    # a fresh Generator spawns the children of its own seed sequence
+    assert draw(_spawn_rngs(np.random.default_rng(5), 3)) == want

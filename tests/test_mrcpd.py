@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cpdkit import als, mrcpd
 from cpdkit.als import SolverOptions, cp_als
@@ -523,6 +524,25 @@ def same_basin(kt, perm=(2, 0, 1)):
     perm = list(perm)
     return KTensor([-2.0 * kt.factors[0][:, perm], kt.factors[1][:, perm],
                     0.5 * kt.factors[2][:, perm]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_min_congruence_matches_normalize_then_multiply(data):
+    J = data.draw(st.integers(1, 5))
+    shape = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 30)))
+    a, b = (KTensor([rng.standard_normal((s, J)) for s in shape],
+                    rng.uniform(-2.0, 2.0, J)) for _ in range(2))
+    if data.draw(st.booleans()):
+        a.factors[-1][:, 0] = 0.0
+    C = np.ones((J, J))
+    for A, B in zip(normalize(a, all_modes=True).factors,
+                    normalize(b, all_modes=True).factors):
+        C *= np.abs(A.T @ B)
+    rows, cols = linear_sum_assignment(-C)
+    assert mrcpd._min_congruence(a, b) == pytest.approx(
+        C[rows, cols].min(), rel=1e-12, abs=1e-15)
 
 
 def test_restarts_stop_once_two_agree():

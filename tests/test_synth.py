@@ -77,6 +77,18 @@ def test_bottleneck_determinism_and_validation():
         gen_bottleneck_ktensor(2, 5)
 
 
+def test_bottleneck_seed_sequence_repeats_and_generator_seeds():
+    want = gen_bottleneck_ktensor(20, 5, seed=109)
+    ss = np.random.SeedSequence(109)
+    again = [gen_bottleneck_ktensor(20, 5, ss) for _ in range(2)]
+    assert ss.n_children_spawned == 0
+    # a fresh Generator draws from the children of its own SeedSequence
+    again.append(gen_bottleneck_ktensor(20, 5, np.random.default_rng(109)))
+    for kt in again:
+        for A, B in zip(kt.factors, want.factors):
+            assert np.array_equal(A, B)
+
+
 def test_add_noise_exact_snr():
     T = reconstruct(gen_random_ktensor((6, 7, 8), 2, seed=107))
     for snr in (0.0, 10.0, 20.0, 40.0):
