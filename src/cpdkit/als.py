@@ -76,47 +76,45 @@ def _solve_gram(W, V) -> np.ndarray:
     return W @ np.linalg.pinv(V, rcond=cutoff)
 
 
-def _route(shape, n: int) -> int:
-    """Mode whose unfolding the mode-``n`` MTTKRP reads.
-
-    That is the largest other mode L (lowest index on ties) when it is
-    larger than mode ``n``, else ``n`` itself.
+def _route(shape) -> int:
+    """The mode whose unfolding every MTTKRP of a tensor of ``shape``
+    reads: its largest mode (lowest index on ties), for every mode ``n``.
     """
-    L = max((p for p in range(len(shape)) if p != n),
-            key=lambda p: (shape[p], -p))
-    return L if shape[L] > shape[n] else n
+    return max(range(len(shape)), key=lambda p: (shape[p], -p))
 
 
 def _unfoldings(T) -> dict:
-    """The unfoldings the MTTKRP routes of ``T`` read, keyed by mode.
+    """The one unfolding the MTTKRPs of ``T`` read, keyed by its mode.
 
-    Empty when together they would exceed ``UNFOLDING_CACHE_BYTES``: past
-    that, re-matricizing inside the sweep beats holding the copies.
+    Empty when it would exceed ``UNFOLDING_CACHE_BYTES``: past that,
+    re-matricizing inside the sweep beats holding the copy.
     """
-    modes = sorted({_route(T.shape, n) for n in range(T.ndim)})
-    if T.nbytes * len(modes) > UNFOLDING_CACHE_BYTES:
+    if T.nbytes > UNFOLDING_CACHE_BYTES:
         return {}
-    return {m: matricize(T, m) for m in modes}
+    m = _route(T.shape)
+    return {m: matricize(T, m)}
 
 
 def _mttkrp(T, factors, n: int, unfoldings, routed=None) -> np.ndarray:
-    """``matricize(T, n) @ khatri_rao(factors except n)``, by the contraction
-    order with the smaller temporary.
+    """``matricize(T, n) @ khatri_rao(factors except n)``, contracting the
+    tensor's largest mode M (:func:`_route`) first.
 
-    When the route (:func:`_route`) is another mode L, one GEMM with the
-    mode-L unfolding, ``Z = matricize(T, L).T @ A_L``, contracts the
-    largest mode first; ``Z`` has ``prod / I_L`` rows, fewer than the
-    ``prod / I_n`` of the Khatri-Rao product it avoids.  ``Z``'s rows run
-    over the other modes, lowest fastest, so ``Z.T`` reshapes for free to
-    (J, modes after n, I_n, modes before n) and is then reduced against
-    the remaining factors: the single one at order 3, their Khatri-Rao
-    product (same row order) above; at order 2 ``Z`` is the product.
-    Unfoldings come from ``unfoldings`` when cached there, else are formed.
-    ``routed`` keeps ``Z.T`` per route mode L together with the ``A_L`` it
-    was formed from, and a later call reuses it while ``factors[L]`` is
-    still that array: the sweep replaces a factor, never edits it.
+    Mode M multiplies its own unfolding by the Khatri-Rao product of the
+    other factors.  Any other mode ``n`` starts from one GEMM with the
+    mode-M unfolding, ``Z = matricize(T, M).T @ A_M``, whose ``prod / I_M``
+    rows are no more than the ``prod / I_n`` of the product it avoids.
+    ``Z``'s rows run over the other modes, lowest fastest, so ``Z.T``
+    reshapes for free to (J, modes after n, I_n, modes before n) and is
+    then reduced against the remaining factors: the single one at order 3,
+    their Khatri-Rao product (same row order) above; at order 2 ``Z`` is
+    the product.  The unfolding comes from ``unfoldings`` when cached
+    there, else is formed.  ``routed`` keeps ``Z.T`` under M together with
+    the ``A_M`` it was formed from, and a later call reuses it while
+    ``factors[M]`` is still that array: the sweep replaces a factor, never
+    edits it, so ``Z`` is formed once per sweep, at the first mode updated
+    after M.
     """
-    m = _route(T.shape, n)
+    m = _route(T.shape)
     if m == n:
         U = unfoldings[m] if m in unfoldings else matricize(T, m)
         K = khatri_rao([A for p, A in enumerate(factors) if p != n])
@@ -128,7 +126,7 @@ def _mttkrp(T, factors, n: int, unfoldings, routed=None) -> np.ndarray:
     A_m, Zt = routed.get(m, (None, None))
     if A_m is not factors[m]:
         U = unfoldings[m] if m in unfoldings else matricize(T, m)
-        # Z.T, not U.T @ A_L: the same GEMM, but this orientation leaves
+        # Z.T, not U.T @ A_M: the same GEMM, but this orientation leaves
         # about 0.7 MB fewer BLAS work-buffer pages resident on a
         # 48x400x20 core.
         Zt = factors[m].T @ U
@@ -149,9 +147,9 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
     Each mode update solves its linear least-squares problem through the
     Gram/Hadamard identity (the J x J normal matrix is the entrywise product
     of the other factors' Gram matrices, solved by Cholesky), so the
-    residual never increases.  Each MTTKRP contracts the largest mode
-    first when that makes a smaller temporary (see :func:`_mttkrp`), so a
-    lopsided tensor caches and reads fewer unfoldings.
+    residual never increases.  Every MTTKRP reads the unfolding of the
+    tensor's largest mode (see :func:`_mttkrp`), so a sweep caches one
+    unfolding and forms one Khatri-Rao product of all but one factor.
     The fit is tracked per sweep from cached cross products, not by forming
     the dense reconstruction.
 

@@ -235,9 +235,9 @@ def test_gram_solve_falls_back_on_singular(monkeypatch, scale):
 
 def test_sweep_solves_by_cholesky_with_numpy(monkeypatch):
     # a well-posed sweep never reaches the pseudo-inverse; it forms its
-    # Khatri-Rao products through linalg, one per mode on a cubical tensor
-    # and fewer on a lopsided one, whose smaller modes contract the
-    # largest other mode first
+    # Khatri-Rao products through linalg, one per sweep on any third-order
+    # shape: the largest mode takes the own-mode product and the others
+    # contract it first
     calls = pinv_spy(monkeypatch)
     seen = []
     real_kr = linalg.khatri_rao
@@ -247,21 +247,22 @@ def test_sweep_solves_by_cholesky_with_numpy(monkeypatch):
         return real_kr(mats)
 
     monkeypatch.setattr(als, "khatri_rao", kr)
-    for shape, per_sweep in [((5, 5, 5), 3), ((6, 6, 4), 2), ((3, 9, 4), 1)]:
+    for shape in [(5, 5, 5), (6, 6, 4), (3, 9, 4)]:
         seen.clear()
         T = reconstruct(gen_random_ktensor(shape, 3, seed=35))
         _, rep = cp_als(T, 3, SolverOptions(max_iters=5, tol=0.0, seed=2))
-        assert seen == [2] * per_sweep * rep.iterations
+        assert seen == [2] * rep.iterations
     assert calls == []
 
 
 def test_routes_read_one_unfolding_per_route_mode():
-    # the mode-reduced core shape: modes 0 and 2 read mode 1's unfolding
-    assert [als._route((48, 400, 20), n) for n in range(3)] == [1, 1, 1]
-    assert [als._route((20,) * 5, n) for n in range(5)] == list(range(5))
-    assert [als._route((4, 6, 6, 2), n) for n in range(4)] == [1, 1, 2, 1]
-    T = np.zeros((6, 2, 3))
-    assert sorted(als._unfoldings(T)) == [0]
+    # every mode reads the largest mode's unfolding (lowest index on ties);
+    # the mode-reduced core's modes 0 and 2 read mode 1's
+    assert als._route((48, 400, 20)) == 1
+    assert als._route((20,) * 5) == 0
+    assert als._route((4, 6, 6, 2)) == 1
+    assert sorted(als._unfoldings(np.zeros((6, 2, 3)))) == [0]
+    assert sorted(als._unfoldings(np.zeros((20,) * 5))) == [0]
 
 
 def test_route_product_is_recomputed_once_its_factor_is_replaced():
@@ -284,7 +285,8 @@ def test_route_product_is_recomputed_once_its_factor_is_replaced():
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-@pytest.mark.parametrize("shape", [(4, 12, 3), (3, 10, 4, 2), (4, 6, 6, 2)])
+@pytest.mark.parametrize("shape", [(4, 12, 3), (3, 10, 4, 2), (4, 6, 6, 2),
+                                   (5, 5, 5, 5)])
 def test_route_reuse_leaves_cp_als_bitwise_unchanged(monkeypatch, shape,
                                                      layout):
     rng = np.random.default_rng(38)
@@ -332,7 +334,8 @@ def test_mttkrp_matches_khatri_rao_product(data, order, J, cache):
         if not cache:
             mp.setattr(als, "UNFOLDING_CACHE_BYTES", 0)
         unfoldings = als._unfoldings(T)
-    assert (unfoldings == {}) != cache
+    big = max(range(order), key=lambda p: (T.shape[p], -p))
+    assert list(unfoldings) == ([big] if cache else [])
     for n in range(order):
         want = matricize(T, n) @ linalg.khatri_rao(
             [A for p, A in enumerate(factors) if p != n])
