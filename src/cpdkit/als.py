@@ -9,6 +9,7 @@ resolves :func:`cp_als` when called, so patching ``cp_als`` reaches it too.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from math import prod
@@ -21,6 +22,15 @@ from .linalg import hadamard, khatri_rao, pinv_cutoff
 from .tensor import matricize
 
 UNFOLDING_CACHE_BYTES = 1 << 30
+
+
+def _as_count(value, name: str) -> int:
+    """``value`` as a Python int (from any Python or NumPy integer), or a
+    one-line ``ValueError`` that names the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -38,6 +48,7 @@ class SolverOptions:
     init: KTensor | None = None
 
     def __post_init__(self):
+        self.max_iters = _as_count(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol >= 0:
@@ -99,25 +110,48 @@ def _mttkrp(T, factors, n: int, unfoldings, routed=None) -> np.ndarray:
     """``matricize(T, n) @ khatri_rao(factors except n)``, contracting the
     tensor's largest mode M (:func:`_route`) first.
 
-    Mode M multiplies its own unfolding by the Khatri-Rao product of the
-    other factors.  Any other mode ``n`` starts from one GEMM with the
-    mode-M unfolding, ``Z = matricize(T, M).T @ A_M``, whose ``prod / I_M``
-    rows are no more than the ``prod / I_n`` of the product it avoids.
-    ``Z``'s rows run over the other modes, lowest fastest, so ``Z.T``
-    reshapes for free to (J, modes after n, I_n, modes before n) and is
-    then reduced against the remaining factors: the single one at order 3,
-    their Khatri-Rao product (same row order) above; at order 2 ``Z`` is
+    Mode M reads its own unfolding.  It leaves out of the Khatri-Rao
+    product the other mode f that sits next to M in the unfolding's memory
+    (the last other mode of a C-ordered unfolding, else the first), when
+    ``I_M * I_f`` is below the product of the other sizes: the unfolding is
+    then viewed as an ``(I_M I_f) x rest`` matrix (a strided one is copied),
+    multiplied by the Khatri-Rao product of the remaining N - 2 factors, and
+    reduced against ``A_f`` by one ``einsum``.  No third-order shape passes
+    that test; there, and at order 2, the unfolding multiplies the product
+    of all the other factors.  Any other mode ``n`` starts from one GEMM
+    with the mode-M unfolding, ``Z = matricize(T, M).T @ A_M``, whose
+    ``prod / I_M`` rows are no more than the ``prod / I_n`` of the product
+    it avoids.  ``Z``'s rows run over the other modes, lowest fastest, so
+    ``Z.T`` reshapes for free to (J, modes after n, I_n, modes before n) and
+    is then reduced against the remaining factors: the single one at order
+    3, their Khatri-Rao product (same row order) above; at order 2 ``Z`` is
     the product.  The unfolding comes from ``unfoldings`` when cached
     there, else is formed.  ``routed`` keeps ``Z.T`` under M together with
     the ``A_M`` it was formed from, and a later call reuses it while
     ``factors[M]`` is still that array: the sweep replaces a factor, never
     edits it, so ``Z`` is formed once per sweep, at the first mode updated
-    after M.
+    after M.  Mode M's own call drops it, so the stale product is freed
+    before the next one is formed.
     """
     m = _route(T.shape)
     if m == n:
+        if routed is not None:
+            routed.pop(m, None)    # A_M is about to be replaced
         U = unfoldings[m] if m in unfoldings else matricize(T, m)
-        K = khatri_rao([A for p, A in enumerate(factors) if p != n])
+        others = [p for p in range(T.ndim) if p != m]
+        c_order = U.flags.c_contiguous and not U.flags.f_contiguous
+        f = others[-1] if c_order else others[0]
+        I_m, I_f = T.shape[m], T.shape[f]
+        if I_m * I_f < U.shape[1]:
+            K = khatri_rao([factors[p] for p in others if p != f])
+            Y = np.reshape(U, (I_m * I_f, -1),
+                           order="C" if c_order else "F") @ K
+            if c_order:
+                return np.einsum("ifj,fj->ij", Y.reshape(I_m, I_f, -1),
+                                 factors[f])
+            return np.einsum("fij,fj->ij", Y.reshape(I_f, I_m, -1),
+                             factors[f])
+        K = khatri_rao([factors[p] for p in others])
         # (K.T @ U.T).T, not U @ K: the same product, but on a tall
         # C-ordered U this orientation is faster and touches about 12 MB
         # fewer BLAS work-buffer pages.
@@ -148,17 +182,24 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
     Gram/Hadamard identity (the J x J normal matrix is the entrywise product
     of the other factors' Gram matrices, solved by Cholesky), so the
     residual never increases.  Every MTTKRP reads the unfolding of the
-    tensor's largest mode (see :func:`_mttkrp`), so a sweep caches one
-    unfolding and forms one Khatri-Rao product of all but one factor.
+    tensor's largest mode M (see :func:`_mttkrp`), so a sweep caches one
+    unfolding and holds one tensor-sized product at a time: M's own
+    update drops the previous sweep's route product, and, wherever that
+    builds the smaller intermediate (orders above 3 only), forms the
+    Khatri-Rao product of N - 2 factors instead of all N - 1 others.
     The fit is tracked per sweep from cached cross products, not by forming
     the dense reconstruction.
 
     Returns ``(KTensor, SolveReport)``; the KTensor is normalized (unit
     columns outside the last mode, scale in the weights).
     """
+    T = np.asarray(T)
+    if np.iscomplexobj(T):
+        raise ValueError("cp_als input is complex; it decomposes real tensors")
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 2:
         raise ValueError("cp_als needs an order >= 2 tensor")
+    J = _as_count(J, "rank")
     if J < 1:
         raise ValueError("rank must be positive")
     if not np.isfinite(T).all():
@@ -226,7 +267,7 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
 
 
 def _als_order3(T, J, opts):
-    T = np.asarray(T, dtype=np.float64)
+    T = np.asarray(T)
     if T.ndim != 3:
         raise ValueError(f"the registered ALS solver expects a third-order "
                          f"tensor, got order {T.ndim}")

@@ -26,7 +26,8 @@ from time import perf_counter
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .als import SolverOptions, _mttkrp, _solve_gram, get_solver
+from .als import (SolverOptions, _as_count, _mttkrp, _solve_gram,
+                  get_solver)
 from .krproj import kr_project
 from .ktensor import KTensor, normalize, reconstruct
 from .linalg import (_column_signs, _congruence, _spawn_rngs, hadamard,
@@ -91,6 +92,7 @@ class MrcpdOptions:
     def __post_init__(self):
         if self.compression is None:
             raise ValueError("compression is always on; None is not allowed")
+        self.restarts = _as_count(self.restarts, "restarts")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -169,6 +171,7 @@ def compress_mode(T3, mode: int, width: int):
     T3 = np.asarray(T3, dtype=np.float64)
     if not 0 <= mode < T3.ndim:
         raise ValueError(f"mode {mode} out of range for order-{T3.ndim} tensor")
+    width = _as_count(width, "width")
     if width < 1:
         raise ValueError("target width must be positive")
     if width >= T3.shape[mode]:
@@ -328,10 +331,15 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     ``ValueError`` before the merge.  Raises if the certified bound fails,
     which indicates a bug.
     """
+    T = np.asarray(T)
+    if np.iscomplexobj(T):
+        raise ValueError("mrcpd_decompose input is complex; it decomposes "
+                         "real tensors")
     T = np.asarray(T, dtype=np.float64)
     if T.ndim < 4:
         raise ValueError(f"mode reduction expects order >= 4, got {T.ndim}; "
                          "use cp_als directly")
+    J = _as_count(J, "rank")
     if J < 1:
         raise ValueError("rank must be positive")
     if not np.isfinite(T).all():

@@ -136,6 +136,9 @@ def test_compress_mode_validation():
         compress_mode(T3, 5, 2)
     with pytest.raises(ValueError):
         compress_mode(T3, 0, 0)
+    with pytest.raises(ValueError, match="width must be an integer"):
+        compress_mode(T3, 0, 2.5)
+    assert compress_mode(T3, 0, np.int64(6)) is T3
     with pytest.raises(ValueError, match="out of range"):
         compress_mode(T3, -1, 2)
     with pytest.raises(ValueError, match="all-zero"):
@@ -631,12 +634,23 @@ def test_decompose_validation():
         mrcpd_decompose(np.ones((3, 3, 3)), 2)
     with pytest.raises(ValueError, match="rank"):
         mrcpd_decompose(T4, 0)
+    with pytest.raises(ValueError, match="rank must be an integer, got 2.5"):
+        mrcpd_decompose(T4, 2.5)
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        MrcpdOptions(restarts=2.5)
+    assert type(MrcpdOptions(restarts=np.int64(2)).restarts) is int
     with pytest.raises(ValueError, match="split covers"):
         mrcpd_decompose(T4, 2, MrcpdOptions(
             split=ModeSplit((0, 1, 2), (0, 1, 2, 3))))
     with pytest.raises(ValueError, match="groups"):
         mrcpd_decompose(T4, 2, MrcpdOptions(
             split=ModeSplit((0, 1, 2, 3), (0, 2, 4))))
+
+
+def test_decompose_rejects_complex_input():
+    T = reconstruct(gen_random_ktensor((4, 4, 4, 4), 2, seed=92)) * (1 + 1j)
+    with pytest.raises(ValueError, match="complex"):
+        mrcpd_decompose(T, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -181,7 +181,27 @@ def test_solver_options_validation():
         SolverOptions(tol=-1e-9)
     with pytest.raises(ValueError, match="tol"):
         SolverOptions(tol=float("nan"))
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        SolverOptions(max_iters=2.5)
     assert SolverOptions(max_iters=1, tol=0.0).max_iters == 1
+    assert type(SolverOptions(max_iters=np.int64(2)).max_iters) is int
+
+
+def test_rank_must_be_an_integer():
+    # a NumPy integer is a rank; 2.5 fails in one line that names it
+    T = reconstruct(gen_random_ktensor((4, 3, 5), 2, seed=34))
+    with pytest.raises(ValueError, match="rank must be an integer, got 2.5"):
+        cp_als(T, 2.5)
+    kt, rep = cp_als(T, np.int32(2), SolverOptions(max_iters=2, seed=0))
+    assert kt.rank == 2 and rep.iterations == 2
+
+
+def test_cp_als_rejects_complex_input():
+    T = reconstruct(gen_random_ktensor((4, 3, 5), 2, seed=34)) + 0j
+    with pytest.raises(ValueError, match="complex"):
+        cp_als(T, 2, SolverOptions(seed=0))
+    with pytest.raises(ValueError, match="complex"):
+        get_solver("als")(T, 2, SolverOptions(seed=0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -255,6 +275,31 @@ def test_sweep_solves_by_cholesky_with_numpy(monkeypatch):
     assert calls == []
 
 
+def test_order_n_sweep_forms_no_product_of_all_other_factors(monkeypatch):
+    # on an order-5 tensor the largest mode's own update leaves a neighbour
+    # out of its Khatri-Rao product, so every product has N - 2 factors;
+    # on (100, 2, 2, 2) that would build the larger intermediate, and the
+    # own update keeps the product of all N - 1 others
+    seen = []
+    real_kr = linalg.khatri_rao
+
+    def kr(mats):
+        seen.append(len(mats))
+        return real_kr(mats)
+
+    monkeypatch.setattr(als, "khatri_rao", kr)
+    for layout in ["C", "F"]:
+        seen.clear()
+        T = np.asarray(reconstruct(gen_random_ktensor((6, 4, 5, 3, 4), 3,
+                                                      seed=36)), order=layout)
+        _, rep = cp_als(T, 3, SolverOptions(max_iters=4, tol=0.0, seed=2))
+        assert seen == [3] * 5 * rep.iterations
+    seen.clear()
+    T = np.random.default_rng(36).standard_normal((100, 2, 2, 2))
+    _, rep = cp_als(T, 2, SolverOptions(max_iters=4, tol=0.0, seed=2))
+    assert seen == [3, 2, 2, 2] * rep.iterations
+
+
 def test_routes_read_one_unfolding_per_route_mode():
     # every mode reads the largest mode's unfolding (lowest index on ties);
     # the mode-reduced core's modes 0 and 2 read mode 1's
@@ -282,6 +327,48 @@ def test_route_product_is_recomputed_once_its_factor_is_replaced():
     assert np.array_equal(als._mttkrp(T, factors, 0, {}, routed),
                           als._mttkrp(T, factors, 0, {}))
     assert routed[1][0] is factors[1] and routed[1][1] is not Zt
+
+
+@pytest.mark.parametrize("shape", [(4, 9, 3), (5, 4, 3, 2, 3)])
+def test_own_mode_update_drops_the_stale_route_product(shape):
+    # the route mode's factor is replaced right after its own update, so
+    # the product formed from it is released there, not when the next one
+    # is stored
+    rng = np.random.default_rng(37)
+    T = rng.standard_normal(shape)
+    factors = [rng.standard_normal((s, 2)) for s in T.shape]
+    m = als._route(shape)
+    routed = {}
+    als._mttkrp(T, factors, (m + 1) % T.ndim, {}, routed)
+    assert m in routed
+    W = als._mttkrp(T, factors, m, {}, routed)
+    assert m not in routed
+    assert np.array_equal(W, als._mttkrp(T, factors, m, {}))
+
+
+@pytest.mark.parametrize("layout", ["F", "C", "strided"])
+def test_own_mode_mttkrp_reads_every_unfolding_layout(layout):
+    # the cached unfolding of the largest mode is F-ordered (C-ordered
+    # tensor), C-ordered (F-ordered tensor, largest mode last) or a strided
+    # view (F-ordered tensor sliced in that mode); each is contracted with
+    # its neighbour in memory left out of the Khatri-Rao product
+    rng = np.random.default_rng(39)
+    if layout == "F":
+        T = rng.standard_normal((6, 3, 4, 2, 3))
+    elif layout == "C":
+        T = np.asfortranarray(rng.standard_normal((3, 4, 2, 3, 6)))
+    else:
+        T = np.asfortranarray(rng.standard_normal((12, 3, 4, 2, 3)))[::2]
+    m = als._route(T.shape)
+    U = als._unfoldings(T)[m]
+    assert (U.flags.c_contiguous, U.flags.f_contiguous) == {
+        "F": (False, True), "C": (True, False),
+        "strided": (False, False)}[layout]
+    factors = [rng.standard_normal((s, 4)) for s in T.shape]
+    want = matricize(T, m) @ linalg.khatri_rao(
+        [A for p, A in enumerate(factors) if p != m])
+    got = als._mttkrp(T, factors, m, {m: U})
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -323,7 +410,7 @@ def lopsided_tensor(draw, order):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), order=st.integers(3, 5), J=st.integers(1, 6),
+@given(data=st.data(), order=st.integers(3, 6), J=st.integers(1, 6),
        cache=st.booleans())
 def test_mttkrp_matches_khatri_rao_product(data, order, J, cache):
     # every route equals the unfolding times the Khatri-Rao product of the
