@@ -9,7 +9,6 @@ resolves :func:`cp_als` when called, so patching ``cp_als`` reaches it too.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field
 from math import prod
@@ -18,19 +17,11 @@ from time import perf_counter
 import numpy as np
 
 from .ktensor import KTensor, normalize
-from .linalg import hadamard, khatri_rao, pinv_cutoff
+from .linalg import (_as_array, _as_count, _as_real, hadamard, khatri_rao,
+                     pinv_cutoff)
 from .tensor import matricize
 
 UNFOLDING_CACHE_BYTES = 1 << 30
-
-
-def _as_count(value, name: str) -> int:
-    """``value`` as a Python int (from any Python or NumPy integer), or a
-    one-line ``ValueError`` that names the parameter."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -47,12 +38,28 @@ class SolverOptions:
     seed: object = None
     init: KTensor | None = None
 
-    def __post_init__(self):
-        self.max_iters = _as_count(self.max_iters, "max_iters")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+    def _check(self):
+        """Check every field; :func:`cp_als` checks again at each call."""
+        self.max_iters = _as_count(self.max_iters, "max_iters", 1)
+        self.tol = _as_real(self.tol, "tol", 0)
+        if not isinstance(self.init, (KTensor, type(None))):
+            raise ValueError(f"init must be a KTensor, got {self.init!r}")
+
+    __post_init__ = _check
+
+
+def _checked_problem(T, J, opts, cls, min_order: int):
+    """The prologue of :func:`cp_als` and :func:`mrcpd_decompose`: a finite
+    real ``T`` of order >= ``min_order``, a rank ``J``, a checked ``cls``."""
+    T = _as_array(T, "T", min_order)
+    J = _as_count(J, "rank", 1)
+    if not np.isfinite(T).all():
+        raise ValueError("T has NaN or Inf entries")
+    opts = cls() if opts is None else opts
+    if not isinstance(opts, cls):
+        raise ValueError(f"opts must be a {cls.__name__}, got {opts!r}")
+    opts._check()
+    return T, J, opts
 
 
 @dataclass
@@ -181,30 +188,15 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
     Each mode update solves its linear least-squares problem through the
     Gram/Hadamard identity (the J x J normal matrix is the entrywise product
     of the other factors' Gram matrices, solved by Cholesky), so the
-    residual never increases.  Every MTTKRP reads the unfolding of the
-    tensor's largest mode M (see :func:`_mttkrp`), so a sweep caches one
-    unfolding and holds one tensor-sized product at a time: M's own
-    update drops the previous sweep's route product, and, wherever that
-    builds the smaller intermediate (orders above 3 only), forms the
-    Khatri-Rao product of N - 2 factors instead of all N - 1 others.
-    The fit is tracked per sweep from cached cross products, not by forming
-    the dense reconstruction.
+    residual never increases.  Every MTTKRP reads the one cached unfolding
+    of the tensor's largest mode (see :func:`_mttkrp`), and a sweep holds
+    one tensor-sized product at a time.  The fit is tracked per sweep from
+    cached cross products, not by forming the dense reconstruction.
 
     Returns ``(KTensor, SolveReport)``; the KTensor is normalized (unit
     columns outside the last mode, scale in the weights).
     """
-    T = np.asarray(T)
-    if np.iscomplexobj(T):
-        raise ValueError("cp_als input is complex; it decomposes real tensors")
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim < 2:
-        raise ValueError("cp_als needs an order >= 2 tensor")
-    J = _as_count(J, "rank")
-    if J < 1:
-        raise ValueError("rank must be positive")
-    if not np.isfinite(T).all():
-        raise ValueError("cp_als input has NaN or Inf entries")
-    opts = opts if opts is not None else SolverOptions()
+    T, J, opts = _checked_problem(T, J, opts, SolverOptions, 2)
     N = T.ndim
     norm_y = float(np.linalg.norm(T))
     if norm_y == 0:
@@ -267,10 +259,9 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
 
 
 def _als_order3(T, J, opts):
-    T = np.asarray(T)
-    if T.ndim != 3:
+    if np.ndim(T) != 3:
         raise ValueError(f"the registered ALS solver expects a third-order "
-                         f"tensor, got order {T.ndim}")
+                         f"tensor, got order {np.ndim(T)}")
     return cp_als(T, J, opts)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .als import SolverOptions, cp_als
 from .ktensor import fit, msir, reconstruct
+from .linalg import _as_count, _as_counts, _as_real
 from .mrcpd import INNER_MAX_ITERS, MrcpdOptions, mrcpd_decompose
 from .synth import add_noise, gen_bottleneck_ktensor, gen_random_ktensor
 
@@ -33,17 +34,21 @@ MRCPD_BENCH_RESTARTS = 6
 @dataclass
 class BenchConfig:
     name: str                     # "sim1" | "sim2"
-    shape: tuple[int, ...]
+    shape: tuple[int, ...]        # each >= 3, the bottleneck generator's floor
     rank: int
     snr_db: float | None
     runs: int
     seed: int
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if min(self.shape) < 3:  # the bottleneck generator's floor
-            raise ValueError(f"mode sizes must be >= 3, got {self.shape}")
+        if self.name not in ("sim1", "sim2"):
+            raise ValueError(f"name must be sim1 or sim2, got {self.name!r}")
+        self.shape = _as_counts(self.shape, "mode sizes", 3, min_len=2)
+        self.rank = _as_count(self.rank, "rank", 1)
+        if self.snr_db is not None:
+            self.snr_db = _as_real(self.snr_db, "snr_db")
+        self.runs = _as_count(self.runs, "runs", 1)
+        self.seed = _as_count(self.seed, "seed", 0)
 
 
 @dataclass
@@ -83,6 +88,8 @@ def _mean_msir(truth, est) -> float:
 
 
 def run_benchmark(cfg: BenchConfig, out_csv=None) -> list[RunRecord]:
+    if not isinstance(cfg, BenchConfig):
+        raise ValueError(f"cfg must be a BenchConfig, got {cfg!r}")
     records: list[RunRecord] = []
     run_streams = np.random.SeedSequence(cfg.seed).spawn(cfg.runs)
     for r, stream in enumerate(run_streams):
@@ -132,6 +139,8 @@ def _cell(value):
 
 
 def write_csv(records, path) -> None:
+    if not all(isinstance(rec, RunRecord) for rec in records):
+        raise ValueError("records must all be RunRecords")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
@@ -142,6 +151,7 @@ def write_csv(records, path) -> None:
 def gcr(records, threshold: float, method: str) -> float:
     """Global convergence rate: percent of runs whose noiseless-reference fit
     clears the threshold."""
+    threshold = _as_real(threshold, "threshold")
     rows = [rec for rec in records if rec.method == method]
     if not rows:
         raise ValueError(f"no records for method {method!r}")

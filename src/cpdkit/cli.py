@@ -107,12 +107,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.experiment == "sim1":
-        cfg = sim1_config(args.runs, args.seed,
-                          20 if args.scale is None else args.scale)
-    else:
-        cfg = sim2_config(args.runs, args.seed,
-                          50 if args.scale is None else args.scale)
+    config = sim1_config if args.experiment == "sim1" else sim2_config
+    scale = {} if args.scale is None else {"scale": args.scale}
+    cfg = config(args.runs, args.seed, **scale)
     records = run_benchmark(cfg, out_csv=args.out)
     for method, stats in summarize(records).items():
         print(f"method={method} gcr_pct={stats['gcr_pct']:.1f} "

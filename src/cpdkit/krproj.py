@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import _column_signs, khatri_rao
+from .linalg import _as_array, _as_counts, _column_signs, khatri_rao
 
 POWER_MAX_ITERS = 200
 POWER_TOL = 1e-10
@@ -93,33 +93,18 @@ def _nonneg_power(H, X, units, amp, norms):
 def kr_project(H, sizes, nonneg: bool = False):
     """Project merged-factor columns onto exact Kronecker structure.
 
-    Parameters
-    ----------
-    H : ndarray, shape (prod(sizes), J)
-        Merged factor; column j is treated as the canonical vectorization of
-        an order-P tensor with mode sizes ``sizes``.  NaN or Inf entries
-        are rejected.
-    sizes : sequence of int, length P >= 2
-        Row sizes of the per-mode factors to recover.
-    nonneg : bool
-        Keep every factor entry nonnegative: the singular-vector fit is
-        refined by alternating nonnegative power updates.
+    Column j of the finite ``prod(sizes) x J`` merged factor ``H`` is read
+    as the canonical vectorization of an order-P tensor (P >= 2) with mode
+    sizes ``sizes``.  ``nonneg`` keeps every factor entry nonnegative: the
+    singular-vector fit is refined by alternating nonnegative power updates.
 
-    Returns
-    -------
-    factors : list of ndarray
-        P matrices, factor p of shape ``(sizes[p], J)``.  Columns of all but
-        the last factor are unit norm (first non-negligible entry
-        nonnegative); the last factor carries each column's amplitude.
-    eps : float
-        Frobenius residual ``||H - khatri_rao(factors)||_F``.
+    Returns ``(factors, eps)``: P factors, factor p of shape
+    ``(sizes[p], J)``, with unit columns outside the last factor (first
+    non-negligible entry nonnegative) and each column's amplitude in the
+    last; and the Frobenius residual ``||H - khatri_rao(factors)||_F``.
     """
-    H = np.asarray(H, dtype=np.float64)
-    sizes = [int(s) for s in sizes]
-    if len(sizes) < 2:
-        raise ValueError("need at least two mode sizes to split a column")
-    if min(sizes) < 1:
-        raise ValueError(f"mode sizes must be >= 1, got {sizes}")
+    H = _as_array(H, "H")
+    sizes = list(_as_counts(sizes, "mode sizes", 1, min_len=2))
     rows = math.prod(sizes)
     if H.ndim != 2 or H.shape[0] != rows:
         raise ValueError(f"H has {H.shape} but mode sizes {sizes} imply "

@@ -15,7 +15,7 @@ from math import prod
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .linalg import _congruence, khatri_rao
+from .linalg import _as_array, _congruence, khatri_rao
 from .tensor import _read_container, _write_container
 
 KTNS_MAGIC = b"KTNS"
@@ -29,9 +29,9 @@ class KTensor:
     __slots__ = ("weights", "factors")
 
     def __init__(self, factors, weights=None):
-        self._own([np.array(A, dtype=np.float64, copy=True) for A in factors],
+        self._own([np.array(_as_array(A, "factors")) for A in factors],
                   None if weights is None
-                  else np.array(weights, dtype=np.float64, copy=True).ravel())
+                  else _as_array(weights, "weights").flatten())
 
     @classmethod
     def _adopt(cls, factors, weights) -> "KTensor":
@@ -90,6 +90,8 @@ def reconstruct(kt: KTensor) -> np.ndarray:
     bigger half is formed.  An order-1 KTensor cuts at ``h = 1`` and its
     empty right half is a single row of ones.
     """
+    if not isinstance(kt, KTensor):
+        raise ValueError(f"kt must be a KTensor, got {kt!r}")
     shape, J = kt.shape, kt.rank
     h = min(range(1, kt.order + 1),
             key=lambda k: prod(shape[:k]) + prod(shape[k:]))
@@ -107,6 +109,8 @@ def normalize(kt: KTensor, all_modes: bool = False) -> KTensor:
     zero column cannot be normalized: its weight becomes 0 and the component
     is dead.  The represented tensor is unchanged.
     """
+    if not isinstance(kt, KTensor):
+        raise ValueError(f"kt must be a KTensor, got {kt!r}")
     factors = [A.copy() for A in kt.factors]
     weights = kt.weights.copy()
     upto = kt.order if all_modes else kt.order - 1
@@ -124,8 +128,7 @@ def fit(ref, est) -> float:
     1 means exact; the score can go negative when the estimate is worse than
     predicting zero.  ``ref`` must be nonzero.
     """
-    ref = np.asarray(ref, dtype=np.float64)
-    est = np.asarray(est, dtype=np.float64)
+    ref, est = _as_array(ref, "ref"), _as_array(est, "est")
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {est.shape}")
     nref = np.linalg.norm(ref)
@@ -175,8 +178,7 @@ def match_factors(ref, est) -> MatchResult:
     reused.  Works on raw columns, so it is insensitive to the per-column
     scale/sign ambiguity of CP factors.
     """
-    ref = np.asarray(ref, dtype=np.float64)
-    est = np.asarray(est, dtype=np.float64)
+    ref, est = _as_array(ref, "ref"), _as_array(est, "est")
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {est.shape}")
     # The rows of a square assignment come back as 0..J-1, in order.
@@ -207,6 +209,8 @@ def write_ktns(path, kt: KTensor) -> None:
     order N, uint32 rank J, N uint64 mode sizes, J float64 weights, then each
     factor as float64 entries in column-major order.  Little-endian.
     """
+    if not isinstance(kt, KTensor):
+        raise ValueError(f"kt must be a KTensor, got {kt!r}")
     _write_container(path, KTNS_MAGIC, (kt.order, kt.rank), kt.shape,
                      (kt.weights, *kt.factors))
 

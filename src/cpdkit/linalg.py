@@ -5,15 +5,74 @@ layout: ``khatri_rao([A, B])`` equals ``B (kr) A`` in the usual columnwise
 Kronecker notation, i.e. the first listed matrix varies fastest down the
 rows.  This makes ``matricize(reconstruct(kt), n)`` equal
 ``A_n @ khatri_rao(all other factors, in mode order).T`` with no reordering.
-It also holds the one column-congruence rule and the one seed rule.
+It also holds the one column-congruence rule, the one seed rule and the
+input rules that every public count, real scalar and array goes through.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
 
 import numpy as np
 
 # Entries of M per streamed QR block (2 MB of float64).
 TSQR_BLOCK_ENTRIES = 1 << 18
+
+
+def _as_count(value, name: str, low, high=None) -> int:
+    """``value`` as a Python int in ``low..high`` (``None``: no limit).
+    Python and NumPy integers pass; a float never does, so nothing is
+    truncated, and nor does a ``bool``: ``rank=True`` is a slip, not 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if high is not None and not low <= count <= high:
+        raise ValueError(f"{name} {count} out of range {low}..{high}")
+    if low is not None and count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    return count
+
+
+def _as_counts(values, name: str, low, min_len: int = 1) -> tuple:
+    """The count rule over a sequence of at least ``min_len`` entries."""
+    try:
+        counts = tuple(_as_count(v, name, None) for v in values)
+    except (TypeError, ValueError):    # not iterable, or not integers
+        counts = ()
+    if len(counts) < min_len:
+        raise ValueError(f"{name} must be {min_len} or more integers, got "
+                         f"{values!r}")
+    if any(c < low for c in counts):
+        raise ValueError(f"{name} must be >= {low}, got {list(counts)}")
+    return counts
+
+
+def _as_real(value, name: str, low=None) -> float:
+    """``value`` as a finite Python float, at least ``low`` if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return float(value)
+
+
+def _as_array(x, name: str, min_ndim: int = 0) -> np.ndarray:
+    """``x`` as a float64 array of order at least ``min_ndim``.  Complex or
+    non-numeric input is rejected, never cut to its real part.  A float64
+    array is returned as is: no copy, and no pass over its entries."""
+    try:
+        A = np.asarray(x)
+    except ValueError:                 # a ragged nest of sequences
+        A = np.asarray(None)
+    if A.dtype.kind not in "biuf":
+        what = "complex" if A.dtype.kind == "c" else f"a {type(x).__name__}"
+        raise ValueError(f"{name} is {what}; it must hold real numbers")
+    if A.ndim < min_ndim:
+        raise ValueError(f"{name} must have order >= {min_ndim}, got {A.ndim}")
+    return A.astype(np.float64, copy=False)
 
 
 def khatri_rao(matrices) -> np.ndarray:
@@ -24,7 +83,7 @@ def khatri_rao(matrices) -> np.ndarray:
     first listed matrix varying fastest, so the output has
     ``prod(rows)`` rows.
     """
-    mats = [np.asarray(M, dtype=np.float64) for M in matrices]
+    mats = [_as_array(M, "matrices") for M in matrices]
     if not mats:
         raise ValueError("khatri_rao needs at least one matrix")
     cols = {M.shape[1] for M in mats if M.ndim == 2}
@@ -39,7 +98,7 @@ def khatri_rao(matrices) -> np.ndarray:
 
 def hadamard(matrices) -> np.ndarray:
     """Entrywise product of same-shaped matrices."""
-    mats = [np.asarray(M, dtype=np.float64) for M in matrices]
+    mats = [_as_array(M, "matrices") for M in matrices]
     if not mats:
         raise ValueError("hadamard needs at least one matrix")
     shape = mats[0].shape
@@ -153,16 +212,14 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
     ``(U_k / s_k).T @ M`` has orthonormal rows to within about
     ``delta / s[k-1]**2``.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = _as_array(M, "M")
     if M.ndim not in (2, 3):
         raise ValueError("left_singular_pairs expects a matrix or a stack")
     m = M.shape[-2]
     n = M.size // max(m, 1)
     if m > n:
         raise ValueError(f"expected a wide matrix, got shape {M.shape}")
-    r = m if r is None else r
-    if not 1 <= r <= m:
-        raise ValueError(f"rank {r} out of range for shape {M.shape}")
+    r = m if r is None else _as_count(r, "rank", 1, m)
     with np.errstate(over="ignore", invalid="ignore"):
         G = _gram(M)
         frob2 = float(np.trace(G))

@@ -26,11 +26,12 @@ from time import perf_counter
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .als import (SolverOptions, _as_count, _mttkrp, _solve_gram,
+from .als import (SolverOptions, _checked_problem, _mttkrp, _solve_gram,
                   get_solver)
 from .krproj import kr_project
 from .ktensor import KTensor, normalize, reconstruct
-from .linalg import (_column_signs, _congruence, _spawn_rngs, hadamard,
+from .linalg import (_as_array, _as_count, _as_counts, _as_real,
+                     _column_signs, _congruence, _spawn_rngs, hadamard,
                      khatri_rao, left_singular_pairs, pinv_cutoff)
 from .tensor import ModeSplit, matricize, reduce_modes, tensorize
 from .uniqueness import krank_product_bound, mode_rank
@@ -47,11 +48,9 @@ AGREE_CONGRUENCE = 0.99
 
 @dataclass(frozen=True)
 class Compression:
-    """Compression of the merged tensor before the third-order solve.
-
-    There is one kind, ``"svd"`` (see :func:`compress_mode`), and it is
-    always on.  The type exists only because the benchmark harness in
-    ``perfbench/`` builds ``Compression("svd")``.
+    """Compression of the merged tensor before the third-order solve: one
+    kind, ``"svd"`` (:func:`compress_mode`), always on.  The type exists
+    only because the harness in ``perfbench/`` builds ``Compression("svd")``.
     """
 
     kind: str
@@ -73,13 +72,10 @@ class MrcpdOptions:
     starting point does not fit.  ``nonneg`` is passed to :func:`kr_project`,
     where it refines the SVD fit by nonnegative power updates.
     ``compression`` is always ``Compression("svd")`` (kept for
-    ``perfbench/``).  ``restarts`` is the most times the inner
-    solver runs, from the children that ``default_rng(solver_opts.seed)
-    .spawn`` makes, so the seed may be an int, ``None``, a ``SeedSequence``
-    (left unchanged) or a ``Generator``; the best fit is kept, and
-    restarting stops once two restarts agree (fits within
-    ``AGREE_FIT_TOL``, matched components at least ``AGREE_CONGRUENCE``
-    congruent).
+    ``perfbench/``).  ``restarts`` is the most times the inner solver runs,
+    each from a child of ``solver_opts.seed`` (an int, ``None``, a
+    ``SeedSequence``, left unchanged, or a ``Generator``), keeping the best
+    fit until two restarts agree (:func:`_solve_with_restarts`).
     """
 
     split: ModeSplit | None = None
@@ -89,12 +85,19 @@ class MrcpdOptions:
     compression: Compression = Compression("svd")
     restarts: int = 1
 
-    def __post_init__(self):
-        if self.compression is None:
-            raise ValueError("compression is always on; None is not allowed")
-        self.restarts = _as_count(self.restarts, "restarts")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+    def _check(self):
+        """Check every field; :func:`mrcpd_decompose` checks again."""
+        if not isinstance(self.split, (ModeSplit, type(None))):
+            raise ValueError(f"split must be a ModeSplit, got {self.split!r}")
+        if not isinstance(self.solver_opts, SolverOptions):
+            raise ValueError(f"solver_opts must be a SolverOptions, got "
+                             f"{self.solver_opts!r}")
+        self.solver_opts._check()
+        if not isinstance(self.compression, Compression):
+            raise ValueError(f"compression is always on, got {self.compression!r}")
+        self.restarts = _as_count(self.restarts, "restarts", 1)
+
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -126,13 +129,8 @@ def plan_unfolding(kranks, J: int) -> ModeSplit:
     size, then earlier boundaries, which merges the smallest kranks.
     Groups are returned in descending bound order.
     """
-    kranks = [int(k) for k in kranks]
+    kranks = _as_counts(kranks, "kranks", 1, min_len=4)
     N = len(kranks)
-    if N < 4:
-        raise ValueError(f"mode reduction needs at least 4 modes, got {N}; "
-                         "decompose directly instead")
-    if any(k < 1 for k in kranks):
-        raise ValueError(f"krank estimates must be >= 1, got {kranks}")
     order = sorted(range(N), key=lambda n: (-kranks[n], n))
     best_key, best = None, None
     for b1 in range(1, N - 1):
@@ -161,19 +159,13 @@ def compress_mode(T3, mode: int, width: int):
     (new matricization ``inv(D) U^T M``).  A ``width`` at or above the mode
     size is a no-op.  Each factored singular vector is signed so that its
     first entry above ``1e-12`` of its peak is nonnegative, which makes the
-    result independent of the signs the factorization picks.
-
-    Returns the compressed tensor.  Nothing is kept to undo the
-    compression: the pipeline re-estimates the compressed mode's factor by
-    least squares against the uncompressed data
-    (:func:`recover_merged_factor`).
+    result independent of the signs the factorization picks.  Only the
+    compressed tensor is returned: the pipeline re-estimates the compressed
+    mode's factor from the uncompressed data (:func:`recover_merged_factor`).
     """
-    T3 = np.asarray(T3, dtype=np.float64)
-    if not 0 <= mode < T3.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{T3.ndim} tensor")
-    width = _as_count(width, "width")
-    if width < 1:
-        raise ValueError("target width must be positive")
+    T3 = _as_array(T3, "T3")
+    mode = _as_count(mode, "mode", 0, T3.ndim - 1)
+    width = _as_count(width, "width", 1)
     if width >= T3.shape[mode]:
         return T3
     M = matricize(T3, mode)
@@ -204,10 +196,10 @@ def recover_merged_factor(Y3, k: int, known_factors):
     factors' Khatri-Rao product is numerically rank deficient, the Gram's
     pseudo-inverse gives the minimum-norm solution.
     """
-    Y3 = np.asarray(Y3, dtype=np.float64)
-    if not 0 <= k < Y3.ndim:
-        raise ValueError(f"group {k} out of range")
-    known = [np.asarray(A, dtype=np.float64) for A in known_factors]
+    Y3 = _as_array(Y3, "Y3")
+    k = _as_count(k, "group", 0, Y3.ndim - 1)
+    known = [_as_array(A, f"known factor {i}")
+             for i, A in enumerate(known_factors)]
     if len(known) != Y3.ndim - 1:
         raise ValueError(f"expected {Y3.ndim - 1} known factors, got {len(known)}")
     modes = [p for p in range(Y3.ndim) if p != k]
@@ -245,11 +237,13 @@ def verify_error_bound(T, est: KTensor, fit3: float, eps_k: float) -> BoundRepor
     """Check the pipeline's error bound on a finished estimate.
 
     ``est`` must be normalized (unit columns outside the last mode) so the
-    sqrt(J) step of the bound applies.  ``final_err`` is measured by
-    :func:`_residual_norm`, so the check allocates one tensor-sized array
-    (the model, with ``T`` subtracted in place).
+    sqrt(J) step of the bound applies.  ``final_err`` comes from
+    :func:`_residual_norm`, which allocates one tensor-sized array.
     """
-    T = np.asarray(T, dtype=np.float64)
+    T = _as_array(T, "T")
+    if not isinstance(est, KTensor):
+        raise ValueError(f"est must be a KTensor, got {est!r}")
+    fit3, eps_k = _as_real(fit3, "fit3", 0), _as_real(eps_k, "eps_k", 0)
     if T.shape != est.shape:
         raise ValueError(f"tensor shape {T.shape} does not match estimate "
                          f"shape {est.shape}")
@@ -261,7 +255,7 @@ def verify_error_bound(T, est: KTensor, fit3: float, eps_k: float) -> BoundRepor
     bound = float(fit3 + np.sqrt(est.rank) * eps_k)
     norm_t = float(np.linalg.norm(T))
     holds = bool(final_err <= bound + BOUND_SLACK_REL * norm_t)
-    return BoundReport(eps_k=float(eps_k), fit3=float(fit3),
+    return BoundReport(eps_k=eps_k, fit3=fit3,
                        final_err=final_err, bound=bound, holds=holds)
 
 
@@ -331,20 +325,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     ``ValueError`` before the merge.  Raises if the certified bound fails,
     which indicates a bug.
     """
-    T = np.asarray(T)
-    if np.iscomplexobj(T):
-        raise ValueError("mrcpd_decompose input is complex; it decomposes "
-                         "real tensors")
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim < 4:
-        raise ValueError(f"mode reduction expects order >= 4, got {T.ndim}; "
-                         "use cp_als directly")
-    J = _as_count(J, "rank")
-    if J < 1:
-        raise ValueError("rank must be positive")
-    if not np.isfinite(T).all():
-        raise ValueError("mrcpd_decompose input has NaN or Inf entries")
-    opts = opts if opts is not None else MrcpdOptions()
+    T, J, opts = _checked_problem(T, J, opts, MrcpdOptions, 4)
     if opts.solver_opts.init is not None:
         raise ValueError("mrcpd_decompose does not take solver_opts.init: the "
                          "inner solver runs on the merged third-order tensor")

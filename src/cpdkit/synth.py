@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ktensor import KTensor
-from .linalg import _congruence, _spawn_rngs
+from .linalg import (_as_array, _as_count, _as_counts, _as_real,
+                     _congruence, _spawn_rngs)
 
 BOTTLENECK_MIN_RHO = 0.9
 SINE_FREQ_HZ = 2.0
@@ -17,11 +18,8 @@ def gen_random_ktensor(shape, J: int, seed=None) -> KTensor:
     Weights are all ones; factors are left unnormalized so entries keep unit
     variance.  Deterministic per seed.
     """
-    if J < 1:
-        raise ValueError("rank must be positive")
-    shape = tuple(int(s) for s in shape)
-    if len(shape) < 2 or any(s < 1 for s in shape):
-        raise ValueError(f"bad shape {shape}")
+    J = _as_count(J, "rank", 1)
+    shape = _as_counts(shape, "shape", 1, min_len=2)
     rng = np.random.default_rng(seed)
     return KTensor([rng.standard_normal((s, J)) for s in shape])
 
@@ -54,10 +52,8 @@ def gen_bottleneck_ktensor(I: int, J: int = 5, seed=None) -> KTensor:
     may be an int, ``None``, a ``SeedSequence`` (left unchanged, so a
     repeated call repeats) or a ``Generator``.
     """
-    if J < 2:
-        raise ValueError("the bottleneck construction needs rank >= 2")
-    if I < 3:
-        raise ValueError("mode size too small to be meaningful")
+    I = _as_count(I, "mode size", 3)
+    J = _as_count(J, "rank", 2)
     rng_rest, *attempt_rngs = _spawn_rngs(seed, 17)
 
     t = np.linspace(0.0, 1.0, I)
@@ -82,9 +78,10 @@ def add_noise(T, snr_db, seed=None) -> np.ndarray:
     The noise tensor is rescaled so ``20*log10(||T|| / ||E||)`` equals
     ``snr_db`` exactly.  ``snr_db=None`` returns an untouched copy.
     """
-    T = np.asarray(T, dtype=np.float64)
+    T = _as_array(T, "T")
     if snr_db is None:
         return T.copy()
+    snr_db = _as_real(snr_db, "snr_db")
     norm_t = float(np.linalg.norm(T))
     if norm_t == 0:
         raise ValueError("cannot set an SNR against a zero tensor")

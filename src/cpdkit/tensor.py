@@ -19,15 +19,10 @@ from math import prod
 
 import numpy as np
 
+from .linalg import _as_array, _as_count, _as_counts
+
 TNSR_MAGIC = b"TNSR"
 FORMAT_VERSION = 1    # of both binary containers, ``.tnsr`` and ``.ktns``
-
-
-def _as_tensor(T) -> np.ndarray:
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim < 1:
-        raise ValueError("expected an array with at least one mode")
-    return T
 
 
 @dataclass(frozen=True)
@@ -47,17 +42,16 @@ class ModeSplit:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
-        object.__setattr__(self, "boundaries", tuple(int(b) for b in self.boundaries))
+        object.__setattr__(self, "perm", _as_counts(self.perm, "perm", 0))
+        object.__setattr__(self, "boundaries",
+                           _as_counts(self.boundaries, "boundaries", 0))
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise ValueError(f"perm {self.perm} is not a permutation of 0..{n - 1}")
         b = self.boundaries
         if len(b) < 3 or b[0] != 0 or b[-1] != n or list(b) != sorted(set(b)):
-            raise ValueError(
-                f"boundaries {b} must be strictly increasing from 0 to {n} "
-                "with at least two groups"
-            )
+            raise ValueError(f"boundaries {b} must be strictly increasing "
+                             f"from 0 to {n} with at least two groups")
 
     @property
     def num_groups(self) -> int:
@@ -74,37 +68,23 @@ class ModeSplit:
 
 
 def matricize(T, n: int) -> np.ndarray:
-    """Mode-``n`` matricization.
+    """Mode-``n`` matricization, of shape ``(T.shape[n], prod(others))``.
 
     Row ``i`` holds every entry with ``i_n == i``; columns run over the
     remaining indices with the lowest-numbered remaining mode varying fastest,
     consistent with the canonical vectorization.
-
-    Parameters
-    ----------
-    T : ndarray
-    n : int
-        Mode to bring to the rows, ``0 <= n < T.ndim``.
-
-    Returns
-    -------
-    ndarray of shape ``(T.shape[n], prod of the other sizes)``
     """
-    T = _as_tensor(T)
-    if not 0 <= n < T.ndim:
-        raise ValueError(f"mode {n} out of range for order-{T.ndim} tensor")
+    T = _as_array(T, "T", 1)
+    n = _as_count(n, "mode", 0, T.ndim - 1)
     return np.reshape(np.moveaxis(T, n, 0), (T.shape[n], -1), order="F")
 
 
 def tensorize(M, shape, n: int) -> np.ndarray:
-    """Inverse of :func:`matricize`: fold a mode-``n`` matricization back.
-
-    ``shape`` is the full target shape including mode ``n``.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= n < len(shape):
-        raise ValueError(f"mode {n} out of range for shape {shape}")
+    """Inverse of :func:`matricize`: fold a mode-``n`` matricization back
+    into the full target ``shape`` (mode ``n`` included)."""
+    M = _as_array(M, "M")
+    shape = _as_counts(shape, "shape", 0)
+    n = _as_count(n, "mode", 0, len(shape) - 1)
     rest = tuple(s for k, s in enumerate(shape) if k != n)
     if M.shape != (shape[n], prod(rest)):
         raise ValueError(f"matrix shape {M.shape} does not match mode-{n} "
@@ -120,7 +100,9 @@ def reduce_modes(T, split: ModeSplit) -> np.ndarray:
     of the result equals that of the permuted tensor, so a split with
     singleton groups is exactly ``np.transpose(T, split.perm)``.
     """
-    T = _as_tensor(T)
+    T = _as_array(T, "T", 1)
+    if not isinstance(split, ModeSplit):
+        raise ValueError(f"split must be a ModeSplit, got {split!r}")
     if len(split.perm) != T.ndim:
         raise ValueError(f"split covers {len(split.perm)} modes, tensor has {T.ndim}")
     permuted = np.transpose(T, split.perm)
@@ -184,7 +166,7 @@ def write_tnsr(path, T) -> None:
     Layout: magic ``TNSR``, version byte 1, uint32 order N, N uint64 mode
     sizes, then float64 entries in canonical order.  All fields little-endian.
     """
-    T = _as_tensor(T)
+    T = _as_array(T, "T", 1)
     _write_container(path, TNSR_MAGIC, (T.ndim,), T.shape, (T,))
 
 

@@ -15,7 +15,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import _congruence, left_singular_pairs
+from .linalg import (_as_array, _as_count, _as_counts, _congruence,
+                     left_singular_pairs)
 from .tensor import ModeSplit, matricize
 
 KRUSKAL_RANK_MAX_COLS = 12
@@ -24,8 +25,10 @@ RANK_RTOL = 1e-8          # relative singular-value cutoff of every rank test
 
 def collinearity(u, v) -> float:
     """Absolute cosine between two vectors, in [0, 1]."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
+    u = _as_array(u, "u").reshape(-1, 1)
+    v = _as_array(v, "v").reshape(-1, 1)
+    if len(u) != len(v):
+        raise ValueError(f"u has {len(u)} entries but v has {len(v)}")
     if not (u.any() and v.any()):
         raise ValueError("collinearity is undefined for zero vectors")
     return float(_congruence(u, v)[0, 0])
@@ -44,7 +47,7 @@ def kruskal_rank(M) -> int:
     Cost grows as 2^J, so matrices with more than 12 columns are rejected;
     use :func:`mode_rank` (or min(rank, J)) as an estimate instead.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = _as_array(M, "M")
     if M.ndim != 2:
         raise ValueError("kruskal_rank expects a matrix")
     J = M.shape[1]
@@ -67,13 +70,8 @@ def krank_product_bound(kranks, J: int) -> int:
     A single factor returns its own (J-capped) krank.  The bound is
     monotone: extending the factor list never lowers it.
     """
-    kranks = [int(k) for k in kranks]
-    if not kranks:
-        raise ValueError("krank_product_bound needs at least one krank")
-    if any(k < 1 for k in kranks):
-        raise ValueError(f"kranks must be >= 1, got {kranks}")
-    if J < 1:
-        raise ValueError("J must be positive")
+    kranks = _as_counts(kranks, "kranks", 1)
+    J = _as_count(J, "rank", 1)
     return min(J, sum(kranks) - (len(kranks) - 1))
 
 
@@ -101,13 +99,8 @@ def ksb_check(kranks, J: int) -> UniquenessReport:
 
     Passes when ``sum(kranks) >= 2 J + (N - 1)`` over the N modes.
     """
-    kranks = tuple(int(k) for k in kranks)
-    if len(kranks) < 2:
-        raise ValueError("need kranks for at least two modes")
-    if any(k < 0 for k in kranks):
-        raise ValueError(f"kranks must be nonnegative, got {kranks}")
-    if J < 1:
-        raise ValueError("J must be positive")
+    kranks = _as_counts(kranks, "kranks", 0, min_len=2)
+    J = _as_count(J, "rank", 1)
     lhs = sum(kranks)
     rhs = 2 * J + (len(kranks) - 1)
     return UniquenessReport(kranks=kranks, rank=J, lhs=lhs, rhs=rhs,
@@ -121,7 +114,9 @@ def check_unfolded_uniqueness(kranks, J: int, split: ModeSplit) -> UniquenessRep
     its member kranks; the grouped bounds then go through :func:`ksb_check`
     with the group count as the effective order.
     """
-    kranks = [int(k) for k in kranks]
+    kranks = _as_counts(kranks, "kranks", 1)
+    if not isinstance(split, ModeSplit):
+        raise ValueError(f"split must be a ModeSplit, got {split!r}")
     if len(kranks) != len(split.perm):
         raise ValueError(f"{len(kranks)} kranks for a split of {len(split.perm)} modes")
     bounds = tuple(krank_product_bound([kranks[m] for m in group], J)
@@ -143,9 +138,9 @@ def mode_rank(T, n: int, cap: int | None = None) -> int:
     as a ``(P, I_n, Q)`` stack (:func:`_mode_stack`), unless mode ``n`` is
     larger than all the others together.
     """
-    T = np.asarray(T, dtype=np.float64)
-    if not 0 <= n < T.ndim:
-        raise ValueError(f"mode {n} out of range for order-{T.ndim} tensor")
+    T = _as_array(T, "T")
+    n = _as_count(n, "mode", 0, T.ndim - 1)
+    cap = None if cap is None else _as_count(cap, "cap", 1)
     if T.size == 0:
         return 0
     # Only the singular values matter, so factor the wide orientation.

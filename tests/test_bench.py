@@ -25,7 +25,8 @@ from cpdkit.bench import (
 
 
 def tiny_config(**overrides):
-    base = BenchConfig(name="tiny", shape=(6, 6, 6, 6), rank=2, snr_db=30.0,
+    # sim1's random-factor generator on a small order-4 problem
+    base = BenchConfig(name="sim1", shape=(6, 6, 6, 6), rank=2, snr_db=30.0,
                        runs=2, seed=5)
     return dataclasses.replace(base, **overrides)
 
@@ -36,6 +37,19 @@ def test_standard_configs():
     assert BENCH_ALS_MAX_ITERS == 100
     cfg2 = sim2_config(runs=3, seed=1, scale=25)
     assert (cfg2.name, cfg2.shape, cfg2.rank) == ("sim2", (25,) * 5, 5)
+
+
+def test_bench_config_rejects_unknown_name_and_bad_counts():
+    # an unknown name used to fall back to sim1's generator silently
+    with pytest.raises(ValueError, match="name must be sim1 or sim2, got 'sim3'"):
+        BenchConfig("sim3", (20,) * 5, 48, 20.0, 1, 0)
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        tiny_config(rank=0)
+    with pytest.raises(ValueError, match="runs must be an integer, got 2.5"):
+        tiny_config(runs=2.5)
+    with pytest.raises(ValueError, match=r"mode sizes .* got \(3\.5, "):
+        sim1_config(1, 0, 3.5)
+    assert tiny_config(shape=np.array([6, 6, 6, 6])).shape == (6, 6, 6, 6)
 
 
 def test_run_benchmark_record_layout():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpdkit import bench
+from cpdkit import bench, cli
 from cpdkit.cli import (
     build_parser,
     format_split,
@@ -475,6 +475,24 @@ def test_bench_rejects_nonpositive_runs(tmp_path, capsys, runs):
     assert err.startswith("error:") and "runs must be >= 1" in err
     assert err.count("\n") == 1
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("experiment", ["sim1", "sim2"])
+@pytest.mark.parametrize("flags, passed", [([], {}),
+                                          (["--scale", "7"], {"scale": 7})])
+def test_bench_passes_scale_only_when_given(tmp_path, monkeypatch,
+                                            experiment, flags, passed):
+    # sim1_config and sim2_config own the default mode sizes
+    seen = []
+
+    def config(runs, seed, **kw):
+        seen.append(kw)
+        raise ValueError("stop before running")
+
+    monkeypatch.setattr(cli, f"{experiment}_config", config)
+    assert main(["bench", experiment, "--runs", "1", "--seed", "0",
+                 "--out", str(tmp_path / "b.csv"), *flags]) == 1
+    assert seen == [passed]
 
 
 @pytest.mark.parametrize("experiment", ["sim1", "sim2"])

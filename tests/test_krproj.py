@@ -190,7 +190,7 @@ def test_kr_project_validation():
 
 
 @pytest.mark.filterwarnings("ignore:rank-1 iteration collapsed")
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(data=st.data(), nonneg=st.booleans())
 def test_kr_project_fits_each_column_alone_property(data, nonneg):
     # every column is fitted as if it were projected on its own, and the
@@ -224,7 +224,7 @@ def exact_kr_input(data, low):
     return khatri_rao(mats), sizes
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_kr_project_exact_on_khatri_rao_property(data):
     H, sizes = exact_kr_input(data, -1.0)
@@ -232,7 +232,7 @@ def test_kr_project_exact_on_khatri_rao_property(data):
     assert eps <= 1e-10 * np.linalg.norm(H)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_kr_project_nonneg_exact_property(data):
     H, sizes = exact_kr_input(data, 0.0)

@@ -90,7 +90,7 @@ def test_reconstruct_matricized_consistent():
                            atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=6),
        J=st.integers(1, 4), seed=st.integers(0, 2 ** 30))
 @example(shape=[30, 30, 2], J=3, seed=0)
@@ -206,7 +206,7 @@ def match_reference(ref, est):
     return affinity, perm, scales, sir
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_match_factors_matches_per_pair_reference(data):
     I = data.draw(st.integers(2, 9))

@@ -100,7 +100,7 @@ def low_rank_plus_tail(draw, rtol):
     return M, int(np.sum(s_full > cut))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(case=low_rank_plus_tail(1e-8), data=st.data())
 def test_left_singular_pairs_verdicts_match_full_svd(case, data):
     M, want = case

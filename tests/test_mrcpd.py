@@ -171,7 +171,7 @@ def full_svd_kept(M, width):
     return int(min(width, np.sum(s > pinv_cutoff(M) * s[0])))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(shape=st.tuples(st.integers(3, 12), st.integers(2, 5),
                        st.integers(2, 5)),
        rank=st.integers(1, 5),
@@ -248,7 +248,7 @@ def test_recover_merged_factor_validation():
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(sizes=st.lists(st.integers(2, 7), min_size=3, max_size=3),
        k=st.integers(0, 2), J=st.integers(1, 4),
        layout=st.sampled_from(["C", "F"]), seed=st.integers(0, 2 ** 30))
@@ -281,7 +281,7 @@ def test_verify_error_bound_accepts_and_rejects():
     assert bad.bound == pytest.approx(err / 2, rel=1e-12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=5),
        J=st.integers(1, 4), seed=st.integers(0, 2 ** 30),
        layout=st.sampled_from(["C", "F", "view"]))
@@ -529,7 +529,7 @@ def same_basin(kt, perm=(2, 0, 1)):
                     0.5 * kt.factors[2][:, perm]])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_min_congruence_matches_normalize_then_multiply(data):
     J = data.draw(st.integers(1, 5))
@@ -662,7 +662,7 @@ def test_decompose_rejects_non_finite(bad):
 
 
 @pytest.mark.parametrize("kind", ["svd"])
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(data=st.data())
 def test_pipeline_properties(kind, data):
     # random exact low-rank order-4/5 tensors, any three-group split, and a

@@ -224,7 +224,7 @@ def pinv_spy(monkeypatch):
     return calls
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(J=st.integers(1, 48), rows=st.integers(1, 60),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_gram_solve_matches_pinv(J, rows, seed):
@@ -409,7 +409,7 @@ def lopsided_tensor(draw, order):
     return T, rng
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data(), order=st.integers(3, 6), J=st.integers(1, 6),
        cache=st.booleans())
 def test_mttkrp_matches_khatri_rao_product(data, order, J, cache):

@@ -242,7 +242,7 @@ def random_tensor(data, min_order, max_order):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_tensorize_inverts_matricize_property(data):
     T = random_tensor(data, 1, 5)
@@ -250,7 +250,7 @@ def test_tensorize_inverts_matricize_property(data):
     assert np.array_equal(tensorize(matricize(T, n), T.shape, n), T)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_reduce_modes_is_a_transpose_property(data):
     T = random_tensor(data, 2, 5)

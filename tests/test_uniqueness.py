@@ -46,6 +46,11 @@ def test_collinearity_values():
         collinearity([0.0, 0.0], [1.0, 0.0])
 
 
+def test_collinearity_names_both_lengths():
+    with pytest.raises(ValueError, match="^u has 3 entries but v has 4$"):
+        collinearity(np.ones(3), np.ones(4))
+
+
 def test_kruskal_rank_constructions():
     rng = np.random.default_rng(61)
     assert kruskal_rank(np.eye(4)) == 4
@@ -184,7 +189,7 @@ def perturbed_low_rank(shape, rank, seed, rel):
     return T
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(shape=st.tuples(st.integers(2, 14), st.integers(2, 5),
                        st.integers(2, 5)),
        rank=st.integers(1, 6),
@@ -197,7 +202,7 @@ def test_mode_rank_matches_full_svd(shape, rank, seed, rel):
         assert mode_rank(T, n) == full_svd_rank(matricize(T, n))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(shape=st.tuples(st.integers(2, 14), st.integers(2, 5),
                        st.integers(2, 5)),
        rank=st.integers(1, 6),
@@ -211,7 +216,7 @@ def test_mode_rank_cap(shape, rank, cap, seed, rel):
         assert mode_rank(T, n, cap=cap) == min(mode_rank(T, n), cap)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(shape=st.tuples(st.integers(2, 12), st.integers(2, 5),
                        st.integers(2, 5)),
        n=st.integers(0, 2), data=st.data(), seed=st.integers(0, 2 ** 30))
