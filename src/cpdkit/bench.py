@@ -138,9 +138,16 @@ def _cell(value):
     return str(value)
 
 
+def _as_records(records) -> list:
+    """``records`` as a list, every entry a :class:`RunRecord`."""
+    records = list(records) if hasattr(records, "__iter__") else None
+    if records is None or not all(isinstance(r, RunRecord) for r in records):
+        raise ValueError("records must be a sequence of RunRecords")
+    return records
+
+
 def write_csv(records, path) -> None:
-    if not all(isinstance(rec, RunRecord) for rec in records):
-        raise ValueError("records must all be RunRecords")
+    records = _as_records(records)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
@@ -152,7 +159,7 @@ def gcr(records, threshold: float, method: str) -> float:
     """Global convergence rate: percent of runs whose noiseless-reference fit
     clears the threshold."""
     threshold = _as_real(threshold, "threshold")
-    rows = [rec for rec in records if rec.method == method]
+    rows = [rec for rec in _as_records(records) if rec.method == method]
     if not rows:
         raise ValueError(f"no records for method {method!r}")
     hits = sum(rec.fit_noiseless >= threshold for rec in rows)
@@ -161,6 +168,7 @@ def gcr(records, threshold: float, method: str) -> float:
 
 def summarize(records, threshold: float = GCR_THRESHOLD) -> dict:
     """Per-method GCR, median runtime, and mean mSIR."""
+    records = _as_records(records)
     out = {}
     for method in dict.fromkeys(rec.method for rec in records):
         rows = [rec for rec in records if rec.method == method]

@@ -15,7 +15,7 @@ from math import prod
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .linalg import _as_array, _congruence, khatri_rao
+from .linalg import _as_array, _as_arrays, _as_real, _congruence, khatri_rao
 from .tensor import _read_container, _write_container
 
 KTNS_MAGIC = b"KTNS"
@@ -29,7 +29,7 @@ class KTensor:
     __slots__ = ("weights", "factors")
 
     def __init__(self, factors, weights=None):
-        self._own([np.array(_as_array(A, "factors")) for A in factors],
+        self._own([np.array(A) for A in _as_arrays(factors, "factors")],
                   None if weights is None
                   else _as_array(weights, "weights").flatten())
 
@@ -131,10 +131,11 @@ def fit(ref, est) -> float:
     ref, est = _as_array(ref, "ref"), _as_array(est, "est")
     if ref.shape != est.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {est.shape}")
-    nref = np.linalg.norm(ref)
+    nref = _as_real(np.linalg.norm(ref), "the norm of ref")
     if nref == 0:
         raise ValueError("fit is undefined for a zero reference")
-    return 1.0 - float(np.linalg.norm(ref - est)) / float(nref)
+    return 1.0 - _as_real(np.linalg.norm(ref - est),
+                          "the residual of est") / nref
 
 
 @dataclass(frozen=True)

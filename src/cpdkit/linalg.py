@@ -75,6 +75,14 @@ def _as_array(x, name: str, min_ndim: int = 0) -> np.ndarray:
     return A.astype(np.float64, copy=False)
 
 
+def _as_arrays(values, name: str) -> list:
+    """The array rule over every entry of a sequence."""
+    if not hasattr(values, "__iter__"):
+        raise ValueError(f"{name} must be a sequence of arrays, got "
+                         f"{type(values).__name__}")
+    return [_as_array(x, name) for x in values]
+
+
 def khatri_rao(matrices) -> np.ndarray:
     """Columnwise Kronecker product of a list of matrices.
 
@@ -83,7 +91,7 @@ def khatri_rao(matrices) -> np.ndarray:
     first listed matrix varying fastest, so the output has
     ``prod(rows)`` rows.
     """
-    mats = [_as_array(M, "matrices") for M in matrices]
+    mats = _as_arrays(matrices, "matrices")
     if not mats:
         raise ValueError("khatri_rao needs at least one matrix")
     cols = {M.shape[1] for M in mats if M.ndim == 2}
@@ -98,7 +106,7 @@ def khatri_rao(matrices) -> np.ndarray:
 
 def hadamard(matrices) -> np.ndarray:
     """Entrywise product of same-shaped matrices."""
-    mats = [_as_array(M, "matrices") for M in matrices]
+    mats = _as_arrays(matrices, "matrices")
     if not mats:
         raise ValueError("hadamard needs at least one matrix")
     shape = mats[0].shape
@@ -178,7 +186,7 @@ def _deflated_residual(M, V) -> float:
     return float(np.sqrt(total))
 
 
-def left_singular_pairs(M, rtol: float, r: int | None = None):
+def left_singular_pairs(M, rtol: float, r: int | None = None, name="M"):
     """Leading left singular pairs ``(U, s)`` of a wide matrix (``m <= n``).
 
     ``M`` may also be a ``(P, m, Q)`` stack standing for the ``m x (P Q)``
@@ -205,7 +213,7 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
     cutoff.  Otherwise (a singular value near the cutoff, or a Gram that
     overflows) the pairs come from the SVD of the small R factor of a
     streamed QR of ``M.T`` (Chan's R-SVD, ACM TOMS 8(1), 1982), which is as
-    accurate as a full SVD of ``M``.  Non-finite entries are rejected.
+    accurate as a full SVD of ``M``.  NaN or Inf entries fail, as ``name``.
 
     On the Gram routes the first ``k`` columns of ``U`` capture all but at
     most ``2 k delta`` of the largest possible ``||U_k.T @ M||_F^2``, and
@@ -240,7 +248,7 @@ def left_singular_pairs(M, rtol: float, r: int | None = None):
                 s[k:] = np.minimum(s[k:], rtol * s[0])
                 return V, s
     elif not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"{name} has non-finite (NaN or Inf) entries")
     _, s, Vt = np.linalg.svd(_tsqr_r(M), full_matrices=False)
     return Vt[:r].T.copy(), s[:r].copy()
 

@@ -30,11 +30,11 @@ from .als import (SolverOptions, _checked_problem, _mttkrp, _solve_gram,
                   get_solver)
 from .krproj import kr_project
 from .ktensor import KTensor, normalize, reconstruct
-from .linalg import (_as_array, _as_count, _as_counts, _as_real,
-                     _column_signs, _congruence, _spawn_rngs, hadamard,
-                     khatri_rao, left_singular_pairs, pinv_cutoff)
+from .linalg import (_as_array, _as_arrays, _as_count, _as_counts, _as_real,
+                     _column_signs, _congruence, _spawn_rngs,
+                     hadamard, khatri_rao, left_singular_pairs, pinv_cutoff)
 from .tensor import ModeSplit, matricize, reduce_modes, tensorize
-from .uniqueness import krank_product_bound, mode_rank
+from .uniqueness import _group_bound, mode_rank
 
 BOUND_SLACK_REL = 1e-9
 # Inner sweep cap for library, CLI and bench: the compressed core is cheap.
@@ -121,33 +121,44 @@ class BoundReport:
 def plan_unfolding(kranks, J: int) -> ModeSplit:
     """Choose a three-group mode split balancing the group krank bounds.
 
-    Modes are sorted by descending krank estimate (ties by index) and every
-    contiguous three-block split of that ordering is scored by its group
-    bounds from :func:`krank_product_bound`.  The plan whose sorted bound
-    tuple is largest wins (so the smallest bound is maximized first, then
-    the next one, and so on); remaining ties prefer a smaller maximum group
-    size, then earlier boundaries, which merges the smallest kranks.
-    Groups are returned in descending bound order.
+    Modes are sorted by descending krank estimate (ties by index), and every
+    partition of the modes into three groups, S(N, 3) of them, is scored by
+    its group bounds (:func:`krank_product_bound`).  The plan whose sorted
+    bound tuple is largest wins (so the smallest bound is maximized first,
+    then the next one, and so on); remaining ties prefer a smaller maximum
+    group size, then contiguous blocks of the sorted order, then earlier
+    boundaries (which merges the smallest kranks), then the first found.
+    Groups are returned in descending bound order, members in sorted order.
     """
     kranks = _as_counts(kranks, "kranks", 1, min_len=4)
+    J = _as_count(J, "rank", 1)
     N = len(kranks)
     order = sorted(range(N), key=lambda n: (-kranks[n], n))
     best_key, best = None, None
-    for b1 in range(1, N - 1):
-        for b2 in range(b1 + 1, N):
-            blocks = [order[:b1], order[b1:b2], order[b2:]]
-            bounds = [krank_product_bound([kranks[m] for m in blk], J)
-                      for blk in blocks]
-            sizes = [len(blk) for blk in blocks]
-            key = (tuple(sorted(bounds)), -max(sizes), tuple(-s for s in sizes))
-            if best_key is None or key > best_key:
-                best_key, best = key, (blocks, bounds)
-    blocks, bounds = best
-    by_bound = sorted(range(3), key=lambda g: (-bounds[g], g))
-    perm = tuple(m for g in by_bound for m in blocks[g])
-    cuts = (0, len(blocks[by_bound[0]]),
-            len(blocks[by_bound[0]]) + len(blocks[by_bound[1]]), N)
-    return ModeSplit(perm, cuts)
+    # Restricted-growth label strings over ``order``, one per partition in
+    # lexicographic order; a prefix grows while all three labels can appear.
+    stack = [(0,)]
+    while stack:
+        labels = stack.pop()
+        top, left = max(labels), N - len(labels)
+        if left:
+            stack += [labels + (g,) for g in range(min(top + 1, 2), -1, -1)
+                      if left > 2 - max(top, g)]
+            continue
+        sums, sizes = [0, 0, 0], [0, 0, 0]
+        for m, g in zip(order, labels):
+            sums[g] += kranks[m]
+            sizes[g] += 1
+        bounds = [_group_bound(k, p, J) for k, p in zip(sums, sizes)]
+        key = (sorted(bounds), -max(sizes), labels == tuple(sorted(labels)),
+               [-p for p in sizes])
+        if best_key is None or key > best_key:
+            best_key, best = key, (labels, bounds)
+    labels, bounds = best
+    groups = [[m for m, h in zip(order, labels) if h == g]
+              for g in sorted(range(3), key=lambda g: (-bounds[g], g))]
+    cuts = (0, len(groups[0]), len(groups[0]) + len(groups[1]), N)
+    return ModeSplit(tuple(m for group in groups for m in group), cuts)
 
 
 def compress_mode(T3, mode: int, width: int):
@@ -173,7 +184,7 @@ def compress_mode(T3, mode: int, width: int):
     wide = M.shape[0] <= M.shape[1]
     # Factor the short side; for a tall M that gives its right pairs.
     W, s = left_singular_pairs(M if wide else M.T, cutoff,
-                               min(width, *M.shape))
+                               min(width, *M.shape), "T3")
     r = int(np.sum(s > cutoff * s[0]))
     if r == 0:
         raise ValueError("cannot compress an all-zero tensor")
@@ -198,8 +209,7 @@ def recover_merged_factor(Y3, k: int, known_factors):
     """
     Y3 = _as_array(Y3, "Y3")
     k = _as_count(k, "group", 0, Y3.ndim - 1)
-    known = [_as_array(A, f"known factor {i}")
-             for i, A in enumerate(known_factors)]
+    known = _as_arrays(known_factors, "known factor")
     if len(known) != Y3.ndim - 1:
         raise ValueError(f"expected {Y3.ndim - 1} known factors, got {len(known)}")
     modes = [p for p in range(Y3.ndim) if p != k]
@@ -251,9 +261,9 @@ def verify_error_bound(T, est: KTensor, fit3: float, eps_k: float) -> BoundRepor
         norms = np.linalg.norm(est.factors[n], axis=0)
         if np.any(np.abs(norms[norms > 0] - 1.0) > 1e-6):
             raise ValueError(f"estimate factor {n} is not column-normalized")
-    final_err = _residual_norm(T, est)
+    norm_t = _as_real(np.linalg.norm(T), "the norm of T")
+    final_err = _as_real(_residual_norm(T, est), "the residual of est")
     bound = float(fit3 + np.sqrt(est.rank) * eps_k)
-    norm_t = float(np.linalg.norm(T))
     holds = bool(final_err <= bound + BOUND_SLACK_REL * norm_t)
     return BoundReport(eps_k=eps_k, fit3=fit3,
                        final_err=final_err, bound=bound, holds=holds)

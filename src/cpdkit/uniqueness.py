@@ -15,8 +15,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import (_as_array, _as_count, _as_counts, _congruence,
-                     left_singular_pairs)
+from .linalg import (_as_array, _as_count, _as_counts, _as_real,
+                     _congruence, left_singular_pairs)
 from .tensor import ModeSplit, matricize
 
 KRUSKAL_RANK_MAX_COLS = 12
@@ -29,7 +29,8 @@ def collinearity(u, v) -> float:
     v = _as_array(v, "v").reshape(-1, 1)
     if len(u) != len(v):
         raise ValueError(f"u has {len(u)} entries but v has {len(v)}")
-    if not (u.any() and v.any()):
+    if not (_as_real(np.linalg.norm(u), "the norm of u")
+            and _as_real(np.linalg.norm(v), "the norm of v")):
         raise ValueError("collinearity is undefined for zero vectors")
     return float(_congruence(u, v)[0, 0])
 
@@ -55,6 +56,8 @@ def kruskal_rank(M) -> int:
         raise ValueError(
             f"exact kruskal_rank is limited to {KRUSKAL_RANK_MAX_COLS} columns "
             f"(got {J}); use mode_rank-based estimates for larger factors")
+    if not np.isfinite(M).all():
+        raise ValueError("M has NaN or Inf entries")
     for r in range(1, min(J, M.shape[0]) + 1):
         for cols in combinations(range(J), r):
             if _rank(np.linalg.svd(M[:, cols], compute_uv=False)) < r:
@@ -71,8 +74,12 @@ def krank_product_bound(kranks, J: int) -> int:
     monotone: extending the factor list never lowers it.
     """
     kranks = _as_counts(kranks, "kranks", 1)
-    J = _as_count(J, "rank", 1)
-    return min(J, sum(kranks) - (len(kranks) - 1))
+    return _group_bound(sum(kranks), len(kranks), _as_count(J, "rank", 1))
+
+
+def _group_bound(krank_sum: int, P: int, J: int) -> int:
+    """The bound of :func:`krank_product_bound` from checked integers."""
+    return min(J, krank_sum - (P - 1))
 
 
 @dataclass(frozen=True)
@@ -146,8 +153,8 @@ def mode_rank(T, n: int, cap: int | None = None) -> int:
     # Only the singular values matter, so factor the wide orientation.
     tall = T.shape[n] ** 2 > T.size
     W = matricize(T, n).T if tall else _mode_stack(T, n)
-    _, s = left_singular_pairs(W, RANK_RTOL,
-                               None if cap is None else min(cap, W.shape[-2]))
+    r = None if cap is None else min(cap, W.shape[-2])
+    _, s = left_singular_pairs(W, RANK_RTOL, r, "T")
     return _rank(s)
 
 

@@ -312,6 +312,21 @@ def test_analyze_ktensor(tmp_path, capsys):
     assert "order below 4" in out
 
 
+def test_analyze_bottleneck_ktensor_splits_the_sine_modes(tmp_path, capsys):
+    # modes 3 and 4 (1-based) are the rank-2 sine modes: merging them into
+    # one group is what makes ALS swamp, so the plan keeps them apart
+    inp = tmp_path / "b.ktns"
+    write_ktns(inp, gen_bottleneck_ktensor(20, 5, seed=0))
+    assert main(["analyze", "--input", str(inp)]) == 0
+    out = capsys.readouterr().out
+    assert "factor kruskal ranks: [5, 5, 2, 2, 5]" in out
+    line = next(t for t in out.splitlines() if t.startswith("recommended"))
+    groups = [set(g.split(",")) for g in line.split('"')[1].split("|")]
+    assert sorted(map(len, groups)) == [1, 2, 2]
+    assert not any({"3", "4"} <= g for g in groups)
+    assert "group_bounds=[5, 5, 5]" in line
+
+
 def test_analyze_wide_ktensor_uses_rank_cutoff(tmp_path, capsys):
     # more columns than the exact Kruskal test takes: the estimate is the
     # mode rank at RANK_RTOL, so a column equal to another up to 1e-10

@@ -33,6 +33,8 @@ H = c.khatri_rao([A, B])
 T3 = RNG.standard_normal((4, 3, 5))
 T4 = RNG.standard_normal((4, 3, 5, 2))
 KT = c.normalize(c.KTensor([RNG.standard_normal((s, 2)) for s in T4.shape]))
+KT_NAN = c.KTensor([*KT.factors[:-1], np.full_like(KT.factors[-1], np.nan)],
+                   KT.weights)
 SPLIT = c.ModeSplit((0, 1, 2, 3), (0, 1, 2, 4))
 RECORDS = [c.RunRecord("als", 0, 0.99, 0.99, 30.0, 0.1, True)]
 BAD_FILES = tempfile.TemporaryDirectory()
@@ -48,6 +50,7 @@ NONNEG_REAL = st.one_of(NOT_REAL, st.none(),
                         st.floats(max_value=-1e-12, allow_infinity=False))
 WRONG_TYPE = st.one_of(st.text(max_size=3), st.integers(), st.floats())
 NOT_AN_OPTION = st.one_of(st.none(), WRONG_TYPE)
+NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats())
 
 
 def other_text(*valid):
@@ -68,6 +71,12 @@ def with_nan(X):
         Y.flat[0] = value
         return Y
     return st.sampled_from([math.nan, math.inf, -math.inf]).map(poke)
+
+
+def listed(head, bad):
+    """Lists that start with ``head`` and end in one ``bad`` entry, or
+    values that are not a list at all."""
+    return st.one_of(bad.map(lambda v: [*head, v]), NOT_A_LIST)
 
 
 def counts(low, size, length=None):
@@ -120,7 +129,8 @@ CASES = [
     Case("Compression", "kind",
          st.one_of(other_text("svd"), st.none(), st.integers()),
          lambda v: c.Compression(v)),
-    Case("KTensor", "factors", not_array(A), lambda v: c.KTensor([A, v])),
+    Case("KTensor", "factors", listed([A], not_array(A)),
+         lambda v: c.KTensor(v)),
     Case("KTensor", "weights",
          st.one_of(not_array(np.ones(2)).filter(lambda v: v is not None),
                    st.lists(st.floats(0, 1), min_size=3, max_size=5)),
@@ -153,11 +163,14 @@ CASES = [
          lambda v: c.check_unfolded_uniqueness((3, 3, 3, 3), v, SPLIT)),
     Case("check_unfolded_uniqueness", "split", NOT_AN_OPTION,
          lambda v: c.check_unfolded_uniqueness((3, 3, 3, 3), 2, v)),
-    Case("collinearity", "u", not_array(A[:, 0]),
+    Case("collinearity", "u",
+         st.one_of(not_array(A[:, 0]), with_nan(A[:, 0])),
          lambda v: c.collinearity(v, A[:, 1])),
-    Case("collinearity", "v", st.integers(1, 9).filter(lambda n: n != 4),
-         lambda v: c.collinearity(A[:, 0], np.ones(v))),
-    Case("compress_mode", "T3", not_array(T3),
+    Case("collinearity", "v",
+         st.one_of(st.integers(1, 9).filter(lambda n: n != 4).map(np.ones),
+                   with_nan(A[:, 1])),
+         lambda v: c.collinearity(A[:, 0], v)),
+    Case("compress_mode", "T3", st.one_of(not_array(T3), with_nan(T3)),
          lambda v: c.compress_mode(v, 0, 2)),
     Case("compress_mode", "mode", st.one_of(COUNT, st.integers(3, 9)),
          lambda v: c.compress_mode(T3, v, 2)),
@@ -169,8 +182,12 @@ CASES = [
     Case("cp_als", "rank", COUNT, lambda v: c.cp_als(T3, v)),
     Case("cp_als", "opts", WRONG_TYPE,
          lambda v: c.cp_als(T3, 2, v)),
-    Case("fit", "ref", not_array(T3), lambda v: c.fit(v, T3)),
-    Case("fit", "est", not_array(T3), lambda v: c.fit(T3, v)),
+    Case("fit", "ref", st.one_of(not_array(T3), with_nan(T3)),
+         lambda v: c.fit(v, T3)),
+    Case("fit", "est", st.one_of(not_array(T3), with_nan(T3)),
+         lambda v: c.fit(T3, v)),
+    Case("gcr", "records", listed(RECORDS, NOT_AN_OPTION),
+         lambda v: c.gcr(v, 0.99, "als")),
     Case("gcr", "threshold", NOT_REAL, lambda v: c.gcr(RECORDS, v, "als")),
     Case("gen_bottleneck_ktensor", "mode size", COUNT,
          lambda v: c.gen_bottleneck_ktensor(v, 2)),
@@ -180,9 +197,10 @@ CASES = [
          lambda v: c.gen_random_ktensor(v, 2)),
     Case("gen_random_ktensor", "rank", COUNT,
          lambda v: c.gen_random_ktensor((4, 3), v)),
-    Case("hadamard", "matrices", not_array(A), lambda v: c.hadamard([A, v])),
-    Case("khatri_rao", "matrices", not_array(A),
-         lambda v: c.khatri_rao([A, v])),
+    Case("hadamard", "matrices", listed([A], not_array(A)),
+         lambda v: c.hadamard(v)),
+    Case("khatri_rao", "matrices", listed([A], not_array(A)),
+         lambda v: c.khatri_rao(v)),
     Case("kr_project", "H", st.one_of(not_array(H), with_nan(H)),
          lambda v: c.kr_project(v, (4, 5))),
     Case("kr_project", "mode sizes", counts(1, 2),
@@ -191,7 +209,8 @@ CASES = [
          lambda v: c.krank_product_bound(v, 3)),
     Case("krank_product_bound", "rank", COUNT,
          lambda v: c.krank_product_bound((2, 2), v)),
-    Case("kruskal_rank", "M", not_array(A), lambda v: c.kruskal_rank(v)),
+    Case("kruskal_rank", "M", st.one_of(not_array(A), with_nan(A)),
+         lambda v: c.kruskal_rank(v)),
     Case("ksb_check", "kranks", counts(0, 2),
          lambda v: c.ksb_check(v, 2)),
     Case("ksb_check", "rank", COUNT, lambda v: c.ksb_check((3, 3, 3), v)),
@@ -202,7 +221,8 @@ CASES = [
     Case("matricize", "T", not_array(T3), lambda v: c.matricize(v, 0)),
     Case("matricize", "mode", st.one_of(COUNT, st.integers(3, 9)),
          lambda v: c.matricize(T3, v)),
-    Case("mode_rank", "T", not_array(T3), lambda v: c.mode_rank(v, 0)),
+    Case("mode_rank", "T", st.one_of(not_array(T3), with_nan(T3)),
+         lambda v: c.mode_rank(v, 0)),
     Case("mode_rank", "mode", st.one_of(COUNT, st.integers(3, 9)),
          lambda v: c.mode_rank(T3, v)),
     Case("mode_rank", "cap", st.one_of(COUNT.filter(lambda v: v is not None),
@@ -234,8 +254,8 @@ CASES = [
          st.one_of(COUNT, st.integers(3, 9)),
          lambda v: c.recover_merged_factor(T3, v, [A, B])),
     Case("recover_merged_factor", "known factor",
-         st.one_of(not_array(B), with_nan(B)),
-         lambda v: c.recover_merged_factor(T3, 1, [A, v])),
+         listed([A], st.one_of(not_array(B), with_nan(B))),
+         lambda v: c.recover_merged_factor(T3, 1, v)),
     Case("reduce_modes", "T", not_array(T4),
          lambda v: c.reduce_modes(v, SPLIT)),
     Case("reduce_modes", "split", NOT_AN_OPTION,
@@ -249,6 +269,8 @@ CASES = [
     Case("sim2_config", "seed", COUNT, lambda v: c.sim2_config(1, v)),
     Case("sim2_config", "mode sizes", st.one_of(COUNT, st.integers(-9, 2)),
          lambda v: c.sim2_config(1, 0, v)),
+    Case("summarize", "records", listed(RECORDS, NOT_AN_OPTION),
+         lambda v: c.summarize(v)),
     Case("summarize", "threshold", NOT_REAL,
          lambda v: c.summarize(RECORDS, v)),
     Case("tensorize", "M", not_array(T3[:, :, 0]),
@@ -257,16 +279,17 @@ CASES = [
          lambda v: c.tensorize(T3[:, :, 0], v, 0)),
     Case("tensorize", "mode", st.one_of(COUNT, st.integers(2, 9)),
          lambda v: c.tensorize(T3[:, :, 0], (4, 3), v)),
-    Case("verify_error_bound", "T", not_array(T4),
+    Case("verify_error_bound", "T", st.one_of(not_array(T4), with_nan(T4)),
          lambda v: c.verify_error_bound(v, KT, 1.0, 0.0)),
-    Case("verify_error_bound", "est", NOT_AN_OPTION,
+    Case("verify_error_bound", "est",
+         st.one_of(NOT_AN_OPTION, st.just(KT_NAN)),
          lambda v: c.verify_error_bound(T4, v, 1.0, 0.0)),
     Case("verify_error_bound", "fit3", NONNEG_REAL,
          lambda v: c.verify_error_bound(T4, KT, v, 0.0)),
     Case("verify_error_bound", "eps_k", NONNEG_REAL,
          lambda v: c.verify_error_bound(T4, KT, 1.0, v)),
-    Case("write_csv", "records", NOT_AN_OPTION,
-         lambda v: c.write_csv(RECORDS + [v], os.devnull)),
+    Case("write_csv", "records", listed(RECORDS, NOT_AN_OPTION),
+         lambda v: c.write_csv(v, os.devnull)),
     Case("write_ktns", "kt", NOT_AN_OPTION,
          lambda v: c.write_ktns(os.devnull, v)),
     Case("write_tnsr", "T", not_array(T3),

@@ -2,6 +2,7 @@
 recovery, the certified error bound, and the end-to-end decomposition."""
 
 import copy
+import itertools
 import tracemalloc
 import warnings
 
@@ -35,10 +36,56 @@ def solver_opts(seed, max_iters=400, tol=1e-12):
 
 # ---------------------------------------------------------------- planning
 
+def group_key(kranks, J, groups):
+    """The planner's key: sorted group bounds, then the smaller largest
+    group."""
+    bounds = [min(J, sum(kranks[m] for m in g) - (len(g) - 1))
+              for g in groups]
+    return sorted(bounds), -max(len(g) for g in groups)
+
+
 def test_plan_unfolding_worked_example():
+    # the contiguous blocks of the krank order give (1,2)|(3,4)|(0,) with
+    # bounds (16, 12, 10); pairing the strongest with the weakest mode
+    # balances the two merged groups better
     split = plan_unfolding((10, 9, 8, 7, 6), 18)
-    assert split == ModeSplit((1, 2, 3, 4, 0), (0, 2, 4, 5))
-    assert split.group_modes() == [(1, 2), (3, 4), (0,)]
+    assert split == ModeSplit((1, 4, 2, 3, 0), (0, 2, 4, 5))
+    assert split.group_modes() == [(1, 4), (2, 3), (0,)]
+    assert group_key((10, 9, 8, 7, 6), 18, split.group_modes())[0] == [
+        10, 14, 14]
+
+
+def test_plan_unfolding_keeps_bottleneck_sine_modes_apart():
+    # modes 2 and 3 are the rank-2 sine modes of gen_bottleneck_ktensor
+    split = plan_unfolding((5, 5, 2, 2, 5), 5)
+    assert split.group_modes() == [(0,), (1, 2), (4, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 6).flatmap(lambda N: st.tuples(
+    st.lists(st.integers(1, 6), min_size=N, max_size=N), st.integers(1, 12))))
+def test_plan_unfolding_is_best_over_every_partition(problem):
+    kranks, J = problem
+    N = len(kranks)
+    groups = plan_unfolding(kranks, J).group_modes()
+    assert sorted(m for g in groups for m in g) == list(range(N))
+    keys = [group_key(kranks, J, [[m for m in range(N) if labels[m] == g]
+                                  for g in range(3)])
+            for labels in itertools.product(range(3), repeat=N)
+            if len(set(labels)) == 3]
+    assert len(keys) == 3 ** N - 3 * 2 ** N + 3    # 3! S(N, 3) labelings
+    assert group_key(kranks, J, groups) == max(keys)
+    bounds = [group_key(kranks, J, [g])[0][0] for g in groups]
+    assert bounds == sorted(bounds, reverse=True)
+    # the best contiguous split of the krank order, by the contiguous-only
+    # search's rule, is the answer whenever it ties the best key
+    order = sorted(range(N), key=lambda n: (-kranks[n], n))
+    cuts = [(b1, b2) for b1 in range(1, N - 1) for b2 in range(b1 + 1, N)]
+    blocks = [[order[:b1], order[b1:b2], order[b2:]] for b1, b2 in cuts]
+    best = max(blocks, key=lambda b: (group_key(kranks, J, b),
+                                      [-len(g) for g in b]))
+    if group_key(kranks, J, best) == max(keys):
+        assert sorted(groups) == sorted(tuple(g) for g in best)
 
 
 def test_plan_unfolding_equal_kranks():
@@ -416,8 +463,8 @@ def test_svd_compression_ignores_basis_signs(monkeypatch):
 
     real = mrcpd.left_singular_pairs
 
-    def flipped(M, rtol, r=None):
-        U, s = real(M, rtol, r)
+    def flipped(M, rtol, r=None, name="M"):
+        U, s = real(M, rtol, r, name)
         U = U.copy()
         U[:, ::2] *= -1
         return U, s
