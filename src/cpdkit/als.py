@@ -21,8 +21,6 @@ from .linalg import (_as_array, _as_count, _as_real, hadamard, khatri_rao,
                      pinv_cutoff)
 from .tensor import matricize
 
-UNFOLDING_CACHE_BYTES = 1 << 30
-
 
 @dataclass
 class SolverOptions:
@@ -101,85 +99,81 @@ def _route(shape) -> int:
     return max(range(len(shape)), key=lambda p: (shape[p], -p))
 
 
-def _unfoldings(T) -> dict:
-    """The one unfolding the MTTKRPs of ``T`` read, keyed by its mode.
+class _Route:
+    """The MTTKRPs of one tensor ``T``, every one of them routed through
+    ``T``'s largest mode M (:func:`_route`).
 
-    Empty when it would exceed ``UNFOLDING_CACHE_BYTES``: past that,
-    re-matricizing inside the sweep beats holding the copy.
+    Holds M, its unfolding ``U``, formed once, and the route product
+    ``Zt = A_M.T @ U`` with the ``A_M`` it was formed from.  ``Zt`` is
+    reused while ``factors[M]`` is still that array: the sweep replaces a
+    factor, never edits it, so ``Zt`` is formed once per sweep, at the
+    first mode updated after M.  Mode M's own call drops it, so the stale
+    product is freed before the next one is formed.
     """
-    if T.nbytes > UNFOLDING_CACHE_BYTES:
-        return {}
-    m = _route(T.shape)
-    return {m: matricize(T, m)}
 
+    def __init__(self, T):
+        self.shape = T.shape
+        self.mode = _route(T.shape)
+        self.U = matricize(T, self.mode)
+        self.A_m = self.Zt = None
 
-def _mttkrp(T, factors, n: int, unfoldings, routed=None) -> np.ndarray:
-    """``matricize(T, n) @ khatri_rao(factors except n)``, contracting the
-    tensor's largest mode M (:func:`_route`) first.
+    def mttkrp(self, factors, n: int) -> np.ndarray:
+        """``matricize(T, n) @ khatri_rao(factors except n)``, contracting
+        mode M first.
 
-    Mode M reads its own unfolding.  It leaves out of the Khatri-Rao
-    product the other mode f that sits next to M in the unfolding's memory
-    (the last other mode of a C-ordered unfolding, else the first), when
-    ``I_M * I_f`` is below the product of the other sizes: the unfolding is
-    then viewed as an ``(I_M I_f) x rest`` matrix (a strided one is copied),
-    multiplied by the Khatri-Rao product of the remaining N - 2 factors, and
-    reduced against ``A_f`` by one ``einsum``.  No third-order shape passes
-    that test; there, and at order 2, the unfolding multiplies the product
-    of all the other factors.  Any other mode ``n`` starts from one GEMM
-    with the mode-M unfolding, ``Z = matricize(T, M).T @ A_M``, whose
-    ``prod / I_M`` rows are no more than the ``prod / I_n`` of the product
-    it avoids.  ``Z``'s rows run over the other modes, lowest fastest, so
-    ``Z.T`` reshapes for free to (J, modes after n, I_n, modes before n) and
-    is then reduced against the remaining factors: the single one at order
-    3, their Khatri-Rao product (same row order) above; at order 2 ``Z`` is
-    the product.  The unfolding comes from ``unfoldings`` when cached
-    there, else is formed.  ``routed`` keeps ``Z.T`` under M together with
-    the ``A_M`` it was formed from, and a later call reuses it while
-    ``factors[M]`` is still that array: the sweep replaces a factor, never
-    edits it, so ``Z`` is formed once per sweep, at the first mode updated
-    after M.  Mode M's own call drops it, so the stale product is freed
-    before the next one is formed.
-    """
-    m = _route(T.shape)
-    if m == n:
-        if routed is not None:
-            routed.pop(m, None)    # A_M is about to be replaced
-        U = unfoldings[m] if m in unfoldings else matricize(T, m)
-        others = [p for p in range(T.ndim) if p != m]
-        c_order = U.flags.c_contiguous and not U.flags.f_contiguous
-        f = others[-1] if c_order else others[0]
-        I_m, I_f = T.shape[m], T.shape[f]
-        if I_m * I_f < U.shape[1]:
-            K = khatri_rao([factors[p] for p in others if p != f])
-            Y = np.reshape(U, (I_m * I_f, -1),
-                           order="C" if c_order else "F") @ K
-            if c_order:
-                return np.einsum("ifj,fj->ij", Y.reshape(I_m, I_f, -1),
+        Mode M reads its own unfolding.  It leaves out of the Khatri-Rao
+        product the other mode f that sits next to M in the unfolding's
+        memory (the last other mode of a C-ordered unfolding, else the
+        first), when ``I_M * I_f`` is below the product of the other sizes:
+        the unfolding is then viewed as an ``(I_M I_f) x rest`` matrix (a
+        strided one is copied), multiplied by the Khatri-Rao product of the
+        remaining N - 2 factors, and reduced against ``A_f`` by one
+        ``einsum``.  No third-order shape passes that test; there, and at
+        order 2, the unfolding multiplies the product of all the other
+        factors.  Any other mode ``n`` starts from the route product, one
+        GEMM with the mode-M unfolding, ``Z = matricize(T, M).T @ A_M``,
+        whose ``prod / I_M`` rows are no more than the ``prod / I_n`` of
+        the product it avoids.  ``Z``'s rows run over the other modes,
+        lowest fastest, so ``Z.T`` reshapes for free to (J, modes after n,
+        I_n, modes before n) and is then reduced against the remaining
+        factors: the single one at order 3, their Khatri-Rao product (same
+        row order) above; at order 2 ``Z`` is the product.
+        """
+        m, U, shape = self.mode, self.U, self.shape
+        if m == n:
+            self.A_m = self.Zt = None    # A_M is about to be replaced
+            others = [p for p in range(len(shape)) if p != m]
+            c_order = U.flags.c_contiguous and not U.flags.f_contiguous
+            f = others[-1] if c_order else others[0]
+            I_m, I_f = shape[m], shape[f]
+            if I_m * I_f < U.shape[1]:
+                K = khatri_rao([factors[p] for p in others if p != f])
+                Y = np.reshape(U, (I_m * I_f, -1),
+                               order="C" if c_order else "F") @ K
+                if c_order:
+                    return np.einsum("ifj,fj->ij", Y.reshape(I_m, I_f, -1),
+                                     factors[f])
+                return np.einsum("fij,fj->ij", Y.reshape(I_f, I_m, -1),
                                  factors[f])
-            return np.einsum("fij,fj->ij", Y.reshape(I_f, I_m, -1),
-                             factors[f])
-        K = khatri_rao([factors[p] for p in others])
-        # (K.T @ U.T).T, not U @ K: the same product, but on a tall
-        # C-ordered U this orientation is faster and touches about 12 MB
-        # fewer BLAS work-buffer pages.
-        return (K.T @ U.T).T
-    routed = {} if routed is None else routed
-    A_m, Zt = routed.get(m, (None, None))
-    if A_m is not factors[m]:
-        U = unfoldings[m] if m in unfoldings else matricize(T, m)
-        # Z.T, not U.T @ A_M: the same GEMM, but this orientation leaves
-        # about 0.7 MB fewer BLAS work-buffer pages resident on a
-        # 48x400x20 core.
-        Zt = factors[m].T @ U
-        routed[m] = (factors[m], Zt)
-    rest = [A for p, A in enumerate(factors) if p not in (n, m)]
-    if not rest:
-        return Zt.T
-    K = rest[0] if len(rest) == 1 else khatri_rao(rest)
-    J = Zt.shape[0]
-    low = prod(T.shape[p] for p in range(n) if p != m)
-    return np.einsum("jhil,hlj->ij", Zt.reshape(J, -1, T.shape[n], low),
-                     K.reshape(-1, low, J))
+            K = khatri_rao([factors[p] for p in others])
+            # (K.T @ U.T).T, not U @ K: the same product, but on a tall
+            # C-ordered U this orientation is faster and touches about 12 MB
+            # fewer BLAS work-buffer pages.
+            return (K.T @ U.T).T
+        if self.A_m is not factors[m]:
+            # Z.T, not U.T @ A_M: the same GEMM, but this orientation leaves
+            # about 0.7 MB fewer BLAS work-buffer pages resident on a
+            # 48x400x20 core.
+            self.A_m, self.Zt = factors[m], factors[m].T @ U
+        Zt = self.Zt
+        rest = [A for p, A in enumerate(factors) if p not in (n, m)]
+        if not rest:
+            return Zt.T
+        K = rest[0] if len(rest) == 1 else khatri_rao(rest)
+        J = Zt.shape[0]
+        low = prod(shape[p] for p in range(n) if p != m)
+        return np.einsum("jhil,hlj->ij", Zt.reshape(J, -1, shape[n], low),
+                         K.reshape(-1, low, J))
 
 
 def cp_als(T, J: int, opts: SolverOptions | None = None):
@@ -188,10 +182,11 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
     Each mode update solves its linear least-squares problem through the
     Gram/Hadamard identity (the J x J normal matrix is the entrywise product
     of the other factors' Gram matrices, solved by Cholesky), so the
-    residual never increases.  Every MTTKRP reads the one cached unfolding
-    of the tensor's largest mode (see :func:`_mttkrp`), and a sweep holds
-    one tensor-sized product at a time.  The fit is tracked per sweep from
-    cached cross products, not by forming the dense reconstruction.
+    residual never increases.  Every MTTKRP reads the one unfolding of the
+    tensor's largest mode, formed once per solve (see :class:`_Route`), and
+    a sweep holds one tensor-sized product at a time.  The fit is tracked
+    per sweep from cached cross products, not by forming the dense
+    reconstruction.
 
     Returns ``(KTensor, SolveReport)``; the KTensor is normalized (unit
     columns outside the last mode, scale in the weights).
@@ -207,14 +202,13 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
                       f"{max_rank} for shape {T.shape}", RuntimeWarning)
 
     start = perf_counter()
-    unfoldings = _unfoldings(T)
-    routed = {}
-
     if opts.init is not None:
         kt0 = opts.init
         if kt0.shape != T.shape or kt0.rank != J:
             raise ValueError(f"init KTensor has shape {kt0.shape} rank "
                              f"{kt0.rank}, expected {T.shape} rank {J}")
+        if not all(np.isfinite(A).all() for A in (kt0.weights, *kt0.factors)):
+            raise ValueError("init has NaN or Inf weights or factors")
         factors = [A.copy() for A in kt0.factors]
         factors[-1] = factors[-1] * kt0.weights
     else:
@@ -226,13 +220,14 @@ def cp_als(T, J: int, opts: SolverOptions | None = None):
             norms[norms == 0] = 1.0
             factors.append(A / norms)
     grams = [A.T @ A for A in factors]
+    route = _Route(T)
 
     fit_trace: list[float] = []
     fit_prev = None
     converged = False
     for sweep in range(1, opts.max_iters + 1):
         for n in range(N):
-            W = _mttkrp(T, factors, n, unfoldings, routed)
+            W = route.mttkrp(factors, n)
             V = hadamard([grams[p] for p in range(N) if p != n])
             factors[n] = _solve_gram(W, V)
             grams[n] = factors[n].T @ factors[n]

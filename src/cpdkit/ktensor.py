@@ -208,10 +208,14 @@ def write_ktns(path, kt: KTensor) -> None:
 
     Layout mirrors the tensor format: magic ``KTNS``, version byte 1, uint32
     order N, uint32 rank J, N uint64 mode sizes, J float64 weights, then each
-    factor as float64 entries in column-major order.  Little-endian.
+    factor as float64 entries in column-major order.  Little-endian.  A
+    KTensor with NaN or Inf weights or factor entries is refused before the
+    file is opened, since :func:`read_ktns` would reject it.
     """
     if not isinstance(kt, KTensor):
         raise ValueError(f"kt must be a KTensor, got {kt!r}")
+    if not all(np.isfinite(A).all() for A in (kt.weights, *kt.factors)):
+        raise ValueError("kt has NaN or Inf weights or factors")
     _write_container(path, KTNS_MAGIC, (kt.order, kt.rank), kt.shape,
                      (kt.weights, *kt.factors))
 

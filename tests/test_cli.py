@@ -14,11 +14,12 @@ from cpdkit.cli import (
     parse_split,
 )
 from cpdkit.als import SolverOptions
-from cpdkit.ktensor import KTensor, fit, read_ktns, reconstruct, write_ktns
+from cpdkit.ktensor import (KTNS_MAGIC, KTensor, fit, read_ktns, reconstruct,
+                            write_ktns)
 from cpdkit.linalg import khatri_rao
 from cpdkit.mrcpd import INNER_MAX_ITERS, MrcpdOptions, mrcpd_decompose
 from cpdkit.synth import gen_bottleneck_ktensor, gen_random_ktensor
-from cpdkit.tensor import ModeSplit, write_tnsr
+from cpdkit.tensor import ModeSplit, _write_container, write_tnsr
 
 
 def test_parse_split():
@@ -384,11 +385,18 @@ def assert_one_line_error(capsys, *needles):
         assert needle in err
 
 
+def write_unchecked_ktns(path, kt):
+    """``kt`` in the ``.ktns`` container, NaN or Inf entries included,
+    which :func:`write_ktns` refuses to write."""
+    _write_container(path, KTNS_MAGIC, (kt.order, kt.rank), kt.shape,
+                     (kt.weights, *kt.factors))
+
+
 def test_analyze_rejects_non_finite_ktensor(tmp_path, capsys):
     kt = gen_random_ktensor((4, 3, 5), 2, seed=208)
     kt.factors[1][0, 1] = np.nan
     inp = tmp_path / "nan.ktns"
-    write_ktns(inp, kt)
+    write_unchecked_ktns(inp, kt)
     assert main(["analyze", "--input", str(inp)]) == 1
     assert_one_line_error(capsys, "nan.ktns", "NaN or Inf")
 
@@ -399,7 +407,7 @@ def test_decompose_rejects_non_finite_init(tmp_path, capsys):
     write_tnsr(inp, reconstruct(truth))
     truth.factors[0][2, 0] = np.inf
     init = tmp_path / "inf.ktns"
-    write_ktns(init, truth)
+    write_unchecked_ktns(init, truth)
     outp = tmp_path / "e.ktns"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -24,7 +24,7 @@ from cpdkit.ktensor import (
     write_ktns,
 )
 from cpdkit.linalg import khatri_rao
-from cpdkit.tensor import matricize
+from cpdkit.tensor import _write_container, matricize
 
 
 def reconstruct_oracle(kt):
@@ -364,13 +364,19 @@ def test_ktns_rejects_corruption(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["weights", "factor"])
 def test_ktns_rejects_non_finite(tmp_path, bad, where):
+    # write_ktns refuses before it opens the file; a file written past it
+    # is refused by read_ktns, naming the file
     kt = KTensor([np.ones((3, 2)), np.ones((4, 2))])
     if where == "weights":
         kt.weights[1] = bad
     else:
         kt.factors[1][2, 0] = bad
     p = tmp_path / "bad.ktns"
-    write_ktns(p, kt)
+    with pytest.raises(ValueError, match="^kt has NaN or Inf"):
+        write_ktns(p, kt)
+    assert not p.exists()
+    _write_container(p, KTNS_MAGIC, (kt.order, kt.rank), kt.shape,
+                     (kt.weights, *kt.factors))
     with pytest.raises(ValueError, match="bad.ktns: .*NaN or Inf"):
         read_ktns(p)
 

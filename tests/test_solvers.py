@@ -1,5 +1,7 @@
 """Alternating least squares solver behavior and the solver registry."""
 
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from cpdkit.als import SolverOptions, cp_als, get_solver, register_solver
 from cpdkit.ktensor import KTensor, fit, reconstruct
 from cpdkit.tensor import matricize
 from cpdkit.linalg import pinv_cutoff
-from cpdkit.mrcpd import MrcpdOptions, mrcpd_decompose
+from cpdkit.mrcpd import (MrcpdOptions, mrcpd_decompose,
+                          recover_merged_factor)
 from cpdkit.synth import gen_random_ktensor
 
 
@@ -206,7 +209,13 @@ def test_cp_als_rejects_complex_input():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cp_als_rejects_non_finite(bad):
-    T = reconstruct(gen_random_ktensor((4, 3, 5), 2, seed=34))
+    truth = gen_random_ktensor((4, 3, 5), 2, seed=34)
+    T = reconstruct(truth)
+    # a non-finite init fails where it is read, not in the Gram solve
+    for init in [KTensor([np.full_like(A, bad) for A in truth.factors]),
+                 KTensor(truth.factors, [1.0, bad])]:
+        with pytest.raises(ValueError, match="^init has NaN or Inf"):
+            cp_als(T, 2, SolverOptions(init=init))
     T[1, 2, 3] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
         cp_als(T, 2, SolverOptions(seed=0))
@@ -300,14 +309,45 @@ def test_order_n_sweep_forms_no_product_of_all_other_factors(monkeypatch):
     assert seen == [3, 2, 2, 2] * rep.iterations
 
 
+def layout_tensor(rng, shape, layout):
+    """A C-ordered, F-ordered or strided (every other entry) tensor."""
+    if layout == "strided":
+        return rng.standard_normal([2 * s for s in shape])[
+            (slice(None, None, 2),) * len(shape)]
+    return np.asarray(rng.standard_normal(shape), order=layout)
+
+
 def test_routes_read_one_unfolding_per_route_mode():
     # every mode reads the largest mode's unfolding (lowest index on ties);
     # the mode-reduced core's modes 0 and 2 read mode 1's
     assert als._route((48, 400, 20)) == 1
     assert als._route((20,) * 5) == 0
     assert als._route((4, 6, 6, 2)) == 1
-    assert sorted(als._unfoldings(np.zeros((6, 2, 3)))) == [0]
-    assert sorted(als._unfoldings(np.zeros((20,) * 5))) == [0]
+    for shape in [(6, 2, 3), (20,) * 5]:
+        route = als._Route(np.zeros(shape))
+        assert route.mode == 0
+        assert route.U.shape == (shape[0], prod(shape) // shape[0])
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_one_unfolding_per_solve(monkeypatch, layout):
+    # a cp_als solve and a merged-factor recovery each form one unfolding,
+    # the route mode's, whatever the layout of the tensor
+    calls = []
+    real = als.matricize
+    monkeypatch.setattr(als, "matricize",
+                        lambda T, n: calls.append(n) or real(T, n))
+    rng = np.random.default_rng(40)
+    cp_als(layout_tensor(rng, (5, 7, 4, 3), layout), 3,
+           SolverOptions(max_iters=5, tol=0.0, seed=1))
+    assert calls == [1]
+    Y3 = layout_tensor(rng, (5, 7, 4), layout)
+    for k in range(3):
+        calls.clear()
+        known = [rng.standard_normal((s, 3))
+                 for p, s in enumerate(Y3.shape) if p != k]
+        recover_merged_factor(Y3, k, known)
+        assert calls == [1]
 
 
 def test_route_product_is_recomputed_once_its_factor_is_replaced():
@@ -316,17 +356,17 @@ def test_route_product_is_recomputed_once_its_factor_is_replaced():
     rng = np.random.default_rng(37)
     T = rng.standard_normal((4, 9, 3))
     factors = [rng.standard_normal((s, 2)) for s in T.shape]
-    routed = {}
+    route = als._Route(T)
     for n in (0, 2):
-        assert np.array_equal(als._mttkrp(T, factors, n, {}, routed),
-                              als._mttkrp(T, factors, n, {}))
-    Zt = routed[1][1]
-    als._mttkrp(T, factors, 2, {}, routed)
-    assert routed[1][1] is Zt
+        assert np.array_equal(route.mttkrp(factors, n),
+                              als._Route(T).mttkrp(factors, n))
+    Zt = route.Zt
+    route.mttkrp(factors, 2)
+    assert route.Zt is Zt
     factors[1] = factors[1] + 1.0
-    assert np.array_equal(als._mttkrp(T, factors, 0, {}, routed),
-                          als._mttkrp(T, factors, 0, {}))
-    assert routed[1][0] is factors[1] and routed[1][1] is not Zt
+    assert np.array_equal(route.mttkrp(factors, 0),
+                          als._Route(T).mttkrp(factors, 0))
+    assert route.A_m is factors[1] and route.Zt is not Zt
 
 
 @pytest.mark.parametrize("shape", [(4, 9, 3), (5, 4, 3, 2, 3)])
@@ -337,21 +377,21 @@ def test_own_mode_update_drops_the_stale_route_product(shape):
     rng = np.random.default_rng(37)
     T = rng.standard_normal(shape)
     factors = [rng.standard_normal((s, 2)) for s in T.shape]
-    m = als._route(shape)
-    routed = {}
-    als._mttkrp(T, factors, (m + 1) % T.ndim, {}, routed)
-    assert m in routed
-    W = als._mttkrp(T, factors, m, {}, routed)
-    assert m not in routed
-    assert np.array_equal(W, als._mttkrp(T, factors, m, {}))
+    route = als._Route(T)
+    m = route.mode
+    route.mttkrp(factors, (m + 1) % T.ndim)
+    assert route.Zt is not None
+    W = route.mttkrp(factors, m)
+    assert route.A_m is None and route.Zt is None
+    assert np.array_equal(W, als._Route(T).mttkrp(factors, m))
 
 
 @pytest.mark.parametrize("layout", ["F", "C", "strided"])
 def test_own_mode_mttkrp_reads_every_unfolding_layout(layout):
-    # the cached unfolding of the largest mode is F-ordered (C-ordered
-    # tensor), C-ordered (F-ordered tensor, largest mode last) or a strided
-    # view (F-ordered tensor sliced in that mode); each is contracted with
-    # its neighbour in memory left out of the Khatri-Rao product
+    # the unfolding of the largest mode is F-ordered (C-ordered tensor),
+    # C-ordered (F-ordered tensor, largest mode last) or a strided view
+    # (F-ordered tensor sliced in that mode); each is contracted with its
+    # neighbour in memory left out of the Khatri-Rao product
     rng = np.random.default_rng(39)
     if layout == "F":
         T = rng.standard_normal((6, 3, 4, 2, 3))
@@ -359,15 +399,15 @@ def test_own_mode_mttkrp_reads_every_unfolding_layout(layout):
         T = np.asfortranarray(rng.standard_normal((3, 4, 2, 3, 6)))
     else:
         T = np.asfortranarray(rng.standard_normal((12, 3, 4, 2, 3)))[::2]
-    m = als._route(T.shape)
-    U = als._unfoldings(T)[m]
+    route = als._Route(T)
+    m, U = route.mode, route.U
     assert (U.flags.c_contiguous, U.flags.f_contiguous) == {
         "F": (False, True), "C": (True, False),
         "strided": (False, False)}[layout]
     factors = [rng.standard_normal((s, 4)) for s in T.shape]
     want = matricize(T, m) @ linalg.khatri_rao(
         [A for p, A in enumerate(factors) if p != m])
-    got = als._mttkrp(T, factors, m, {m: U})
+    got = route.mttkrp(factors, m)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -376,19 +416,20 @@ def test_own_mode_mttkrp_reads_every_unfolding_layout(layout):
                                    (5, 5, 5, 5)])
 def test_route_reuse_leaves_cp_als_bitwise_unchanged(monkeypatch, shape,
                                                      layout):
-    rng = np.random.default_rng(38)
-    if layout == "strided":
-        T = rng.standard_normal([2 * s for s in shape])[
-            (slice(None, None, 2),) * len(shape)]
-    else:
-        T = np.asarray(rng.standard_normal(shape), order=layout)
+    T = layout_tensor(np.random.default_rng(38), shape, layout)
     opts = SolverOptions(max_iters=15, tol=0.0, seed=3)
     kt_a, rep_a = cp_als(T, 3, opts)
-    real = als._mttkrp
-    monkeypatch.setattr(
-        als, "_mttkrp", lambda T, factors, n, unfoldings, routed: real(
-            T, factors, n, unfoldings, {}))
+    real = als._Route.mttkrp
+    calls = []
+
+    def no_reuse(route, factors, n):
+        calls.append(n)
+        route.A_m = None    # forget the route product: form it every call
+        return real(route, factors, n)
+
+    monkeypatch.setattr(als._Route, "mttkrp", no_reuse)
     kt_b, rep_b = cp_als(T, 3, opts)
+    assert len(calls) == len(shape) * rep_b.iterations
     assert rep_a.fit_trace == rep_b.fit_trace
     for A, B in zip(kt_a.factors, kt_b.factors):
         assert np.array_equal(A, B)
@@ -401,31 +442,21 @@ def lopsided_tensor(draw, order):
                           max_size=order))
     layout = draw(st.sampled_from(["C", "F", "strided"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if layout == "strided":
-        T = rng.standard_normal([2 * s for s in shape])[(slice(None, None, 2),)
-                                                         * order]
-    else:
-        T = np.asarray(rng.standard_normal(shape), order=layout)
-    return T, rng
+    return layout_tensor(rng, shape, layout), rng
 
 
 @settings(max_examples=60)
-@given(data=st.data(), order=st.integers(3, 6), J=st.integers(1, 6),
-       cache=st.booleans())
-def test_mttkrp_matches_khatri_rao_product(data, order, J, cache):
+@given(data=st.data(), order=st.integers(3, 6), J=st.integers(1, 6))
+def test_mttkrp_matches_khatri_rao_product(data, order, J):
     # every route equals the unfolding times the Khatri-Rao product of the
-    # other factors, with the unfoldings cached or formed in the sweep
+    # other factors, the route product formed once and then reused
     T, rng = lopsided_tensor(data.draw, order)
     factors = [rng.standard_normal((s, J)) for s in T.shape]
-    with pytest.MonkeyPatch.context() as mp:
-        if not cache:
-            mp.setattr(als, "UNFOLDING_CACHE_BYTES", 0)
-        unfoldings = als._unfoldings(T)
-    big = max(range(order), key=lambda p: (T.shape[p], -p))
-    assert list(unfoldings) == ([big] if cache else [])
+    route = als._Route(T)
+    assert route.mode == max(range(order), key=lambda p: (T.shape[p], -p))
     for n in range(order):
         want = matricize(T, n) @ linalg.khatri_rao(
             [A for p, A in enumerate(factors) if p != n])
-        got = als._mttkrp(T, factors, n, unfoldings)
+        got = route.mttkrp(factors, n)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
