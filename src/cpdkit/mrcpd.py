@@ -2,12 +2,14 @@
 
 The pipeline is one path: pick (or accept) a three-group mode split, merge
 the grouped modes, shrink the largest merged mode to at most J whitened
-SVD directions, run the solver registered as ``"als"`` on the third-order
-tensor (keeping the best of several restarts, and stopping once two of
-them agree), re-estimate the compressed mode's factor against the
-uncompressed merged tensor with one ALS mode update (the least-squares
-rule of every sweep), and split every merged factor back into per-mode
-factors by columnwise rank-1 projection.
+SVD directions and every other merged mode above J to at most J
+orthonormal ones, run the solver registered as ``"als"`` on that core of
+at most J per mode (keeping the best of several restarts, and stopping
+once two of them agree), expand the orthonormally projected factors,
+re-estimate the largest mode's factor against the uncompressed merged
+tensor with one ALS mode update (the least-squares rule of every sweep),
+and split every merged factor back into per-mode factors by columnwise
+rank-1 projection.
 The final factors come with a certified error bound: writing ``e3`` for the
 third-order residual and ``eps_K`` for the (weighted) projection residual,
 
@@ -49,8 +51,9 @@ AGREE_CONGRUENCE = 0.99
 @dataclass(frozen=True)
 class Compression:
     """Compression of the merged tensor before the third-order solve: one
-    kind, ``"svd"`` (:func:`compress_mode`), always on.  The type exists
-    only because the harness in ``perfbench/`` builds ``Compression("svd")``.
+    kind, ``"svd"`` (:func:`compress_mode`, then :func:`_project_mode`),
+    always on.  The type exists only because the harness in ``perfbench/``
+    builds ``Compression("svd")``.
     """
 
     kind: str
@@ -72,7 +75,9 @@ class MrcpdOptions:
     starting point does not fit.  ``nonneg`` is passed to :func:`kr_project`,
     where it refines the SVD fit by nonnegative power updates.
     ``compression`` is always ``Compression("svd")`` (kept for
-    ``perfbench/``).  ``restarts`` is the most times the inner solver runs,
+    ``perfbench/``): the largest merged mode is whitened and every other
+    merged mode above J is projected, so the inner solves see at most J
+    per mode.  ``restarts`` is the most times the inner solver runs,
     keeping the best fit until two restarts agree
     (:func:`_solve_with_restarts`).  With ``restarts=1`` the one solve runs
     from ``solver_opts.seed`` itself; with more, each restart runs from a
@@ -168,6 +173,27 @@ def plan_unfolding(kranks, J: int) -> ModeSplit:
     return ModeSplit(tuple(m for group in groups for m in group), cuts)
 
 
+def _leading_basis(T3, mode: int, width: int):
+    """The basis that :func:`compress_mode` and :func:`_project_mode` keep.
+
+    Returns ``(M, W, s, wide)``: the mode-``mode`` matricization ``M``, the
+    short side's leading ``r`` singular vectors ``W`` (left ones of a wide
+    ``M``, right ones of a tall ``M``), signed by :func:`_column_signs`, and
+    their singular values ``s``.  ``r`` is ``width``, or the numerical rank
+    counted with :func:`pinv_cutoff` if that is smaller.
+    """
+    M = matricize(T3, mode)
+    cutoff = pinv_cutoff(M)
+    wide = M.shape[0] <= M.shape[1]
+    # Factor the short side; for a tall M that gives its right pairs.
+    W, s = left_singular_pairs(M if wide else M.T, cutoff,
+                               min(width, *M.shape), "T3")
+    r = int(np.sum(s > cutoff * s[0]))
+    if r == 0:
+        raise ValueError("cannot compress an all-zero tensor")
+    return M, W[:, :r] * _column_signs(W[:, :r]), s[:r], wide
+
+
 def compress_mode(T3, mode: int, width: int):
     """Shrink one mode of a tensor to at most ``width`` whitened directions.
 
@@ -180,28 +206,42 @@ def compress_mode(T3, mode: int, width: int):
     result independent of the signs the factorization picks.  Only the
     compressed tensor is returned: the pipeline re-estimates the compressed
     mode's factor from the uncompressed data (:func:`recover_merged_factor`).
+    The pipeline whitens this one mode, the route mode, and projects every
+    other merged mode above J onto an orthonormal basis
+    (:func:`_project_mode`), whose factor it expands back exactly.
     """
     T3 = _as_array(T3, "T3")
     mode = _as_count(mode, "mode", 0, T3.ndim - 1)
     width = _as_count(width, "width", 1)
     if width >= T3.shape[mode]:
         return T3
-    M = matricize(T3, mode)
-    cutoff = pinv_cutoff(M)
-    wide = M.shape[0] <= M.shape[1]
-    # Factor the short side; for a tall M that gives its right pairs.
-    W, s = left_singular_pairs(M if wide else M.T, cutoff,
-                               min(width, *M.shape), "T3")
-    r = int(np.sum(s > cutoff * s[0]))
-    if r == 0:
-        raise ValueError("cannot compress an all-zero tensor")
-    W = W[:, :r] * _column_signs(W[:, :r])
+    M, W, s, wide = _leading_basis(T3, mode, width)
     # A tall M is U diag(s) W^T, so its whitened rows are W^T exactly;
     # forming U first would lose them when a kept s is tiny.
-    rows = (W / s[:r]).T @ M if wide else W.T
+    rows = (W / s).T @ M if wide else W.T
     shape = list(T3.shape)
-    shape[mode] = r
+    shape[mode] = len(s)
     return tensorize(rows, tuple(shape), mode)
+
+
+def _project_mode(T3, mode: int, width: int):
+    """Project one mode onto at most ``width`` orthonormal directions.
+
+    Returns ``(U, core)``: ``U`` holds the leading left singular vectors of
+    the mode-``mode`` matricization ``M`` (the basis of
+    :func:`_leading_basis`), with orthonormal columns, and ``core`` is the
+    tensor whose matricization is ``U^T M``.  A factor ``C`` fitted on the
+    core expands to ``U @ C`` with its column norms and congruences kept,
+    and when ``M`` has numerical rank at most ``width``,
+    ``U @ (U^T M)`` gives ``M`` back.
+    """
+    M, W, s, wide = _leading_basis(T3, mode, width)
+    # A tall M's left vectors are M W / s; QR keeps them orthonormal when a
+    # kept s is tiny.
+    U = W if wide else np.linalg.qr(M @ W)[0]
+    shape = list(T3.shape)
+    shape[mode] = U.shape[1]
+    return U, tensorize(U.T @ M, tuple(shape), mode)
 
 
 def recover_merged_factor(Y3, k: int, known_factors):
@@ -334,13 +374,20 @@ def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
 def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     """Decompose an order >= 4 tensor via merge, solve, project.
 
+    The merged tensor's largest mode is compressed to at most J whitened
+    directions (:func:`compress_mode`) and every other merged mode above J
+    to at most J orthonormal ones (:func:`_project_mode`); the restarts run
+    on that core, each projected factor is expanded by its basis, and the
+    largest mode's factor is re-estimated from the uncompressed merged
+    tensor (:func:`recover_merged_factor`) before ``fit3`` is measured.
+
     Returns ``(KTensor, SolveReport, BoundReport)``: the order-N estimate in
-    original mode order (normalized), the inner solve's report with
-    ``runtime_s`` replaced by the total pipeline wall-clock, and the bound
-    check.  A J above the feasible rank of the merged tensor (the product
-    of the two smaller merged sizes, when the largest is above J) raises
-    ``ValueError`` before the merge.  Raises if the certified bound fails,
-    which indicates a bug.
+    original mode order (normalized), the inner solve's report (its fits
+    are on the core) with ``runtime_s`` replaced by the total pipeline
+    wall-clock, and the bound check.  A J above the feasible rank of the
+    merged tensor (the product of the two smaller merged sizes, when the
+    largest is above J) raises ``ValueError`` before the merge.  Raises if
+    the certified bound fails, which indicates a bug.
     """
     T, J, opts = _checked_problem(T, J, opts, MrcpdOptions, 4)
     if opts.solver_opts.init is not None:
@@ -373,11 +420,21 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
             f"{feasible} or another split")
     Y3 = reduce_modes(T, split)
 
+    # Whiten the route mode, then project every other merged mode above J
+    # onto an orthonormal basis (Bro and Andersson's compression before the
+    # solve), so the restarts run on a core of at most J per mode.  Every
+    # other mode is at most the route mode, so one is only projected when
+    # the route mode is compressed and recovered.
     Y3s = compress_mode(Y3, m, J)
+    bases = {}
+    for p in range(3):
+        if p != m and Y3s.shape[p] > J:
+            bases[p], Y3s = _project_mode(Y3s, p, J)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)
     if Y3s.shape != Y3.shape:
-        factors3 = list(kt3.factors)
+        factors3 = [bases[p] @ A if p in bases else A
+                    for p, A in enumerate(kt3.factors)]
         others = [factors3[p] for p in range(3) if p != m]
         factors3[m] = recover_merged_factor(Y3, m, others)
         kt3 = normalize(KTensor(factors3), all_modes=True)

@@ -209,6 +209,32 @@ def test_compress_mode_keeps_numerical_rank(shape, rank, width, seed):
     assert np.allclose(rows @ rows.T, np.eye(r), atol=1e-9)
     back = U @ (rows * s[:, None])
     assert np.allclose(back, M, atol=1e-9 * np.abs(M).max())
+    # the orthonormal projection keeps the same r directions, and expanding
+    # its core puts the unfolding back
+    B, core = mrcpd._project_mode(T3, 0, width)
+    assert core.shape == C.shape
+    assert np.allclose(B.T @ B, np.eye(r), atol=1e-12)
+    assert np.allclose(B @ B.T, U @ np.linalg.pinv(U), atol=1e-9)
+    assert np.allclose(B @ matricize(core, 0), M,
+                       atol=1e-9 * np.abs(M).max())
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_project_mode_keeps_the_leading_subspace(mode):
+    # noisy data above the width, so the projection drops directions;
+    # mode 1's unfolding is tall, 40 x 12
+    truth = gen_random_ktensor((6, 40, 3, 4), 3, seed=101)
+    T3 = reduce_modes(reconstruct(truth), ModeSplit((0, 1, 2, 3),
+                                                    (0, 1, 2, 4)))
+    T3 = T3 + 1e-3 * np.random.default_rng(102).standard_normal(T3.shape)
+    width = 2
+    M = matricize(T3, mode)
+    B, core = mrcpd._project_mode(T3, mode, width)
+    assert B.shape == (M.shape[0], width)
+    assert np.allclose(B.T @ B, np.eye(width), atol=1e-12)
+    assert np.allclose(matricize(core, mode), B.T @ M, atol=1e-12)
+    U_full = np.linalg.svd(M, full_matrices=False)[0][:, :width]
+    assert np.allclose(B @ B.T, U_full @ U_full.T, atol=1e-9)
 
 
 def full_svd_kept(M, width):
@@ -477,6 +503,35 @@ def test_svd_compression_ignores_basis_signs(monkeypatch):
     for A, B in zip(est_a.factors, est_b.factors):
         assert np.array_equal(A, B)
     assert np.array_equal(est_a.weights, est_b.weights)
+
+
+@pytest.mark.parametrize("shape, split, above", [
+    # merged 20 x 6 x 2: the route mode and one more are above J
+    ((4, 5, 6, 2), ModeSplit((0, 1, 2, 3), (0, 2, 3, 4)), 2),
+    # merged 30 x 20 x 4: all three, and mode 1's compressed unfolding is
+    # tall (20 x 12)
+    ((5, 6, 4, 5, 4), ModeSplit((0, 1, 2, 3, 4), (0, 2, 4, 5)), 3)])
+def test_restarts_solve_a_core_of_at_most_j_per_mode(shape, split, above):
+    J = 3
+    T = reconstruct(gen_random_ktensor(shape, J, seed=103))
+    assert sum(size > J for size in split.group_sizes(shape)) == above
+    cores = []
+    real = als.get_solver("als")
+
+    def recording(T3, J, opts):
+        cores.append(T3.shape)
+        return real(T3, J, opts)
+
+    als.register_solver("als", recording)
+    try:
+        est, _, bound = mrcpd_decompose(T, J, MrcpdOptions(
+            split=split, solver_opts=solver_opts(3, max_iters=1000, tol=0.0),
+            restarts=4))
+    finally:
+        als.register_solver("als", real)
+    assert cores and all(max(core) <= J for core in cores)
+    assert fit(T, reconstruct(est)) >= 1 - 1e-9
+    assert bound.holds
 
 
 def test_decompose_rejects_init():
