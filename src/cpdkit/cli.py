@@ -19,7 +19,7 @@ from .als import SolverOptions, cp_als
 from .bench import run_benchmark, sim1_config, sim2_config, summarize
 from .krproj import kr_project
 from .ktensor import KTNS_MAGIC, read_ktns, write_ktns
-from .mrcpd import (INNER_MAX_ITERS, MrcpdOptions, mrcpd_decompose,
+from .mrcpd import (INNER_MAX_ITERS, MrcpdOptions, _plan, mrcpd_decompose,
                     plan_unfolding)
 from .tensor import ModeSplit, TNSR_MAGIC, read_tnsr
 from .uniqueness import (KRUSKAL_RANK_MAX_COLS, check_unfolded_uniqueness,
@@ -133,9 +133,13 @@ def _analyze_tensor(T, rank) -> int:
     if rank is None:
         print("pass --rank to get a uniqueness report and a split plan")
         return 0
-    estimates = [max(1, min(r, rank)) for r in ranks]
+    if T.ndim < 4:
+        split, estimates = None, [max(1, min(r, rank)) for r in ranks]
+    else:
+        # mrcpd_decompose's own pass and plan, so the split is the one it runs
+        split, _, _, estimates = _plan(T, rank)
     print(f"krank estimates (rank-capped mode ranks): {estimates}")
-    _report_uniqueness(estimates, rank, T.ndim)
+    _report_uniqueness(estimates, rank, split)
     return 0
 
 
@@ -149,18 +153,20 @@ def _analyze_ktensor(kt) -> int:
         kranks = [max(1, mode_rank(A, 0, cap=J)) for A in kt.factors]
         print(f"factor krank estimates (rank-based, {J} columns is too many "
               f"for the exact test): {kranks}")
-    _report_uniqueness(kranks, J, kt.order)
+    _report_uniqueness(kranks, J, plan_unfolding(kranks, J)
+                       if kt.order >= 4 else None)
     return 0
 
 
-def _report_uniqueness(kranks, J, order) -> None:
+def _report_uniqueness(kranks, J, split) -> None:
+    """Print the Kruskal-sum checks of ``kranks``; ``split=None`` means
+    the order is below 4."""
     rep = ksb_check(kranks, J)
     print(f"kruskal-sum condition: sum={rep.lhs} threshold={rep.rhs} "
           f"margin={rep.margin} satisfied={rep.satisfied}")
-    if order < 4:
+    if split is None:
         print("tensor order below 4: no mode reduction to plan")
         return
-    split = plan_unfolding(kranks, J)
     urep = check_unfolded_uniqueness(kranks, J, split)
     print(f"recommended split: \"{format_split(split)}\" "
           f"group_bounds={list(urep.group_bounds)}")

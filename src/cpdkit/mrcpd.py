@@ -1,15 +1,30 @@
 """CP decomposition of high-order tensors through a third-order detour.
 
-The pipeline is one path: pick (or accept) a three-group mode split, merge
-the grouped modes, shrink the largest merged mode to at most J whitened
-SVD directions and every other merged mode above J to at most J
-orthonormal ones, run the solver registered as ``"als"`` on that core of
-at most J per mode (keeping the best of several restarts, and stopping
-once two of them agree), expand the orthonormally projected factors,
-re-estimate the largest mode's factor against the uncompressed merged
-tensor with one ALS mode update (the least-squares rule of every sweep),
-and split every merged factor back into per-mode factors by columnwise
-rank-1 projection.
+The pipeline is one path:
+
+1. One sequential pass over the original modes in index order
+   (:func:`_truncate_modes`) takes each mode's leading singular pairs on
+   the tensor already shrunk along the modes before it, and projects every
+   mode above J onto at most J of them, an orthonormal basis.  The pass's
+   J-capped mode ranks are the planning estimates.
+2. Pick (from those estimates) or accept a three-group mode split, its
+   route group (the largest, :func:`als._route`) first, and merge both the
+   tensor and the pass's small core by it.
+3. Whiten the merged core's route mode at its numerical rank (at most J)
+   and project every other merged mode still above J onto at most J
+   orthonormal directions.
+4. Run the solver registered as ``"als"`` on that core of at most J per
+   mode, keeping the best of several restarts and stopping once two of
+   them agree.
+5. Expand the two other merged factors by their bases (the Kronecker
+   product of their members' pass bases), re-estimate the route factor
+   against the uncompressed merged tensor with one ALS mode update (the
+   least-squares rule of every sweep), and split every merged factor back
+   into per-mode factors by columnwise rank-1 projection.
+
+Steps 3 and 5 run when some mode, original or merged, is above J;
+otherwise the solve runs on the merged tensor itself.
+
 The final factors come with a certified error bound: writing ``e3`` for the
 third-order residual and ``eps_K`` for the (weighted) projection residual,
 
@@ -36,7 +51,7 @@ from .linalg import (_as_array, _as_arrays, _as_count, _as_counts, _as_real,
                      _column_signs, _congruence, _spawn_rngs,
                      hadamard, khatri_rao, left_singular_pairs, pinv_cutoff)
 from .tensor import ModeSplit, matricize, reduce_modes, tensorize
-from .uniqueness import _group_bound, mode_rank
+from .uniqueness import _group_bound, _mode_pairs, _rank
 
 BOUND_SLACK_REL = 1e-9
 # Inner sweep cap for library, CLI and bench: the compressed core is cheap.
@@ -50,9 +65,9 @@ AGREE_CONGRUENCE = 0.99
 
 @dataclass(frozen=True)
 class Compression:
-    """Compression of the merged tensor before the third-order solve: one
-    kind, ``"svd"`` (:func:`compress_mode`, then :func:`_project_mode`),
-    always on.  The type exists only because the harness in ``perfbench/``
+    """Compression before the third-order solve: one kind, ``"svd"`` (the
+    pass :func:`_truncate_modes`, then :func:`_whiten_mode` and
+    :func:`_project_mode` on the merged core), always on.  The type exists only because the harness in ``perfbench/``
     builds ``Compression("svd")``.
     """
 
@@ -68,16 +83,19 @@ class Compression:
 class MrcpdOptions:
     """Knobs for :func:`mrcpd_decompose`.
 
-    ``split=None`` plans the unfolding automatically from J-capped mode
-    ranks (:func:`mode_rank`).  ``solver_opts`` (default: ``INNER_MAX_ITERS``
+    ``split=None`` plans the unfolding (:func:`plan_unfolding`) from the
+    J-capped mode ranks that the pass over the original modes finds
+    (:func:`_truncate_modes`); a given split skips the estimates, and the
+    pass then visits only the modes above J.  Either way the route group
+    is merged first.  ``solver_opts`` (default: ``INNER_MAX_ITERS``
     sweeps) drives every inner solve; its ``init`` must be ``None``, because
     the inner solver sees the merged third-order tensor, which an order-N
     starting point does not fit.  ``nonneg`` is passed to :func:`kr_project`,
     where it refines the SVD fit by nonnegative power updates.
     ``compression`` is always ``Compression("svd")`` (kept for
-    ``perfbench/``): the largest merged mode is whitened and every other
-    merged mode above J is projected, so the inner solves see at most J
-    per mode.  ``restarts`` is the most times the inner solver runs,
+    ``perfbench/``): every original mode above J is projected by the pass,
+    the merged core's route mode is whitened and every other merged mode
+    above J is projected, so the inner solves see at most J per mode.  ``restarts`` is the most times the inner solver runs,
     keeping the best fit until two restarts agree
     (:func:`_solve_with_restarts`).  With ``restarts=1`` the one solve runs
     from ``solver_opts.seed`` itself; with more, each restart runs from a
@@ -206,15 +224,20 @@ def compress_mode(T3, mode: int, width: int):
     result independent of the signs the factorization picks.  Only the
     compressed tensor is returned: the pipeline re-estimates the compressed
     mode's factor from the uncompressed data (:func:`recover_merged_factor`).
-    The pipeline whitens this one mode, the route mode, and projects every
-    other merged mode above J onto an orthonormal basis
-    (:func:`_project_mode`), whose factor it expands back exactly.
+    The pipeline whitens the route mode of its merged core with the same
+    rule (:func:`_whiten_mode`), also when that mode has J or fewer rows.
     """
     T3 = _as_array(T3, "T3")
     mode = _as_count(mode, "mode", 0, T3.ndim - 1)
     width = _as_count(width, "width", 1)
     if width >= T3.shape[mode]:
         return T3
+    return _whiten_mode(T3, mode, width)
+
+
+def _whiten_mode(T3, mode: int, width: int):
+    """:func:`compress_mode` without its checks and its no-op: whitens at
+    the numerical rank even when the mode has ``width`` or fewer rows."""
     M, W, s, wide = _leading_basis(T3, mode, width)
     # A tall M is U diag(s) W^T, so its whitened rows are W^T exactly;
     # forming U first would lose them when a kept s is tiny.
@@ -242,6 +265,87 @@ def _project_mode(T3, mode: int, width: int):
     shape = list(T3.shape)
     shape[mode] = U.shape[1]
     return U, tensorize(U.T @ M, tuple(shape), mode)
+
+
+def _truncate_modes(T, J: int, modes):
+    """One sequential pass over ``modes`` in index order (sequentially
+    truncated HOSVD: Vannieuwenhoven, Vandebril and Meerbergen, SIAM J.
+    Sci. Comput. 34(2), 2012).
+
+    Mode ``n`` takes the leading singular pairs of the running tensor, T
+    already projected on the earlier modes, from :func:`_mode_pairs`; its
+    rank there, capped at J (at least 1), is the mode's planning estimate.
+    A mode larger than J is then projected onto that many leading left
+    singular vectors (signed by :func:`_column_signs`), an orthonormal
+    basis, so the next mode's Gram reads a smaller tensor.  Returns
+    ``(core, bases, estimates)``: the projected tensor, the basis of each
+    projected mode (``T`` is the core times each basis along its mode) and
+    a dict of estimates (1 for an all-zero mode, as in planning from
+    :func:`mode_rank`).  The running tensor is kept C-contiguous, an
+    F-ordered ``T`` as ``T.T`` with its modes reversed, so every Gram and
+    projection reads a free ``(P, I_n, Q)`` view.
+    """
+    if T.size == 0:      # no Gram to form: every estimate is 1
+        return T, {}, dict.fromkeys(modes, 1)
+    flip = not T.flags.c_contiguous and T.flags.f_contiguous
+    X = T.T if flip else np.ascontiguousarray(T)
+    bases, estimates = {}, {}
+    for n in modes:
+        k = T.ndim - 1 - n if flip else n
+        W, s, M = _mode_pairs(X, k, J)
+        r = _rank(s)
+        estimates[n] = max(1, r)
+        if T.shape[n] <= J or r == 0:     # an all-zero T stays whole
+            continue
+        W = W[:, :r] * _column_signs(W[:, :r])
+        # A tall mode gave its right vectors: its left ones are M.T W / s,
+        # orthonormalized by QR as in _project_mode.
+        U = np.linalg.qr(M.T @ W)[0] if M.ndim == 2 else W
+        X3 = X.reshape(prod(X.shape[:k]), X.shape[k], -1)
+        # One GEMM for a (P, I_n, 1) stack; a batched product otherwise.
+        Y = X3[:, :, 0] @ U if X3.shape[2] == 1 else np.matmul(U.T, X3)
+        X = Y.reshape(X.shape[:k] + (r,) + X.shape[k + 1:])
+        bases[n] = U
+    return (X.T if flip else X), bases, estimates
+
+
+def _route_first(split: ModeSplit, shape) -> ModeSplit:
+    """``split`` with its route group (:func:`als._route` of the merged
+    sizes) moved to the front, the other two in their order.  The merged
+    tensor is F-ordered, so the route unfolding that compression and
+    recovery read is then a free view."""
+    groups = split.group_modes()
+    m = _route(split.group_sizes(shape))
+    groups = [groups[m]] + groups[:m] + groups[m + 1:]
+    cuts = (0, len(groups[0]), len(groups[0]) + len(groups[1]),
+            len(split.perm))
+    return ModeSplit(tuple(n for g in groups for n in g), cuts)
+
+
+def _plan(T, J: int):
+    """The split :func:`mrcpd_decompose` plans for ``T`` at rank J: the
+    pass over every mode (:func:`_truncate_modes`), then
+    :func:`plan_unfolding` of its estimates, route group first.  Returns
+    ``(split, core, bases, estimates)``; ``cpd analyze`` reports the same
+    split."""
+    core, bases, found = _truncate_modes(T, J, range(T.ndim))
+    estimates = [found[n] for n in range(T.ndim)]
+    split = _route_first(plan_unfolding(estimates, J), T.shape)
+    return split, core, bases, estimates
+
+
+def _expand(A, modes, bases, core_shape):
+    """A group's merged factor fitted on the core, expanded to the merged
+    mode of ``T``: each projected member's basis is applied along that
+    member (the Kronecker product of the members' bases, lowest member
+    fastest as in :func:`reduce_modes`), which keeps column norms."""
+    J = A.shape[1]
+    G = A.T.reshape((J,) + tuple(core_shape[n] for n in modes), order="F")
+    for i, n in enumerate(modes):
+        if n in bases:
+            G = np.moveaxis(np.tensordot(bases[n], G, axes=(1, i + 1)),
+                            0, i + 1)
+    return G.reshape(J, -1, order="F").T
 
 
 def recover_merged_factor(Y3, k: int, known_factors):
@@ -374,12 +478,17 @@ def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
 def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     """Decompose an order >= 4 tensor via merge, solve, project.
 
-    The merged tensor's largest mode is compressed to at most J whitened
-    directions (:func:`compress_mode`) and every other merged mode above J
-    to at most J orthonormal ones (:func:`_project_mode`); the restarts run
-    on that core, each projected factor is expanded by its basis, and the
-    largest mode's factor is re-estimated from the uncompressed merged
-    tensor (:func:`recover_merged_factor`) before ``fit3`` is measured.
+    One pass shrinks every original mode above J to at most J orthonormal
+    directions and gives the planner its estimates (:func:`_truncate_modes`).
+    On the merged core the route mode (the largest merged mode, merged
+    first) is whitened at its numerical rank and every other merged mode
+    above J projected to at most J orthonormal directions
+    (:func:`_project_mode`); the restarts run on that core, the two other
+    factors are expanded by their bases, and the route factor is
+    re-estimated from the uncompressed merged tensor
+    (:func:`recover_merged_factor`) before ``fit3`` is measured.  When no
+    mode, original or merged, is above J, the solve runs on the merged
+    tensor itself.
 
     Returns ``(KTensor, SolveReport, BoundReport)``: the order-N estimate in
     original mode order (normalized), the inner solve's report (its fits
@@ -398,8 +507,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     start = perf_counter()
     split = opts.split
     if split is None:
-        estimates = [max(1, mode_rank(T, n, cap=J)) for n in range(T.ndim)]
-        split = plan_unfolding(estimates, J)
+        split, core, bases, _ = _plan(T, J)
     if len(split.perm) != T.ndim:
         raise ValueError(f"split covers {len(split.perm)} modes, tensor has "
                          f"{T.ndim}")
@@ -409,34 +517,43 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     sizes = split.group_sizes(T.shape)
     m = _route(sizes)
     # Compression and recovery take the merged tensor's route mode
-    # (als._route), so recovery's MTTKRP reads that mode's own unfolding.
-    # Compressed, it keeps at most the product of the other two sizes, and
-    # recovering its factor needs J of them.
+    # (als._route).  Compressed, it keeps at most the product of the other
+    # two sizes, and recovering its factor needs J of them.
     feasible = prod(sizes) // sizes[m]
     if sizes[m] > J > feasible:
         raise ValueError(
             f"rank {J} exceeds the feasible rank {feasible} of the merged "
             f"{'x'.join(map(str, sizes))} tensor; use a rank of at most "
             f"{feasible} or another split")
+    if opts.split is not None:
+        split = _route_first(split, T.shape)
+        core, bases, _ = _truncate_modes(
+            T, J, [n for n in range(T.ndim) if T.shape[n] > J])
     Y3 = reduce_modes(T, split)
 
-    # Whiten the route mode, then project every other merged mode above J
-    # onto an orthonormal basis (Bro and Andersson's compression before the
-    # solve), so the restarts run on a core of at most J per mode.  Every
-    # other mode is at most the route mode, so one is only projected when
-    # the route mode is compressed and recovered.
-    Y3s = compress_mode(Y3, m, J)
-    bases = {}
-    for p in range(3):
-        if p != m and Y3s.shape[p] > J:
-            bases[p], Y3s = _project_mode(Y3s, p, J)
+    # The restarts run on a core of at most J per mode (Bro and Andersson's
+    # compression before the solve): the pass has shrunk every original
+    # mode above J; the merged core's route mode (merged mode 0) is
+    # whitened at its numerical rank and every other merged mode still
+    # above J projected onto an orthonormal basis.
+    compressed = bool(bases) or sizes[m] > J
+    core_shape, Y3s = core.shape, Y3
+    if compressed:
+        Y3s = _whiten_mode(reduce_modes(core, split) if bases else Y3, 0, J)
+    del core
+    merged_bases = {}
+    for p in (1, 2):
+        if Y3s.shape[p] > J:
+            merged_bases[p], Y3s = _project_mode(Y3s, p, J)
     kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
     kt3 = normalize(kt3, all_modes=True)
-    if Y3s.shape != Y3.shape:
-        factors3 = [bases[p] @ A if p in bases else A
-                    for p, A in enumerate(kt3.factors)]
-        others = [factors3[p] for p in range(3) if p != m]
-        factors3[m] = recover_merged_factor(Y3, m, others)
+    if compressed:
+        groups = split.group_modes()
+        factors3 = [None] + [
+            _expand(merged_bases[p] @ kt3.factors[p] if p in merged_bases
+                    else kt3.factors[p], groups[p], bases, core_shape)
+            for p in (1, 2)]
+        factors3[0] = recover_merged_factor(Y3, 0, factors3[1:])
         kt3 = normalize(KTensor(factors3), all_modes=True)
     fit3 = _residual_norm(Y3, kt3)
     # Y3 is a full copy of T: free it before the bound check allocates its

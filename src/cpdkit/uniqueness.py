@@ -150,12 +150,24 @@ def mode_rank(T, n: int, cap: int | None = None) -> int:
     cap = None if cap is None else _as_count(cap, "cap", 1)
     if T.size == 0:
         return 0
-    # Only the singular values matter, so factor the wide orientation.
+    return _rank(_mode_pairs(T, n, cap)[1])
+
+
+def _mode_pairs(T, n: int, r: int | None = None):
+    """Leading singular pairs of ``matricize(T, n)``, from its wide side.
+
+    Returns ``(W, s, X)``.  ``X`` is what was factored: the ``(P, I_n, Q)``
+    stack of :func:`_mode_stack` when mode ``n`` is wide, else, when
+    ``I_n`` is larger than all the other modes together, the transposed
+    unfolding.  ``W`` holds ``X``'s leading left singular vectors (so the
+    unfolding's right ones for a tall mode) and ``s`` the singular values,
+    at most ``r`` of each (``None``: all), judged at ``RANK_RTOL``.
+    """
     tall = T.shape[n] ** 2 > T.size
-    W = matricize(T, n).T if tall else _mode_stack(T, n)
-    r = None if cap is None else min(cap, W.shape[-2])
-    _, s = left_singular_pairs(W, RANK_RTOL, r, "T")
-    return _rank(s)
+    X = matricize(T, n).T if tall else _mode_stack(T, n)
+    r = None if r is None else min(r, X.shape[-2])
+    W, s = left_singular_pairs(X, RANK_RTOL, r, "T")
+    return W, s, X
 
 
 def _mode_stack(T, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpdkit import bench, cli
+from cpdkit import bench, cli, mrcpd
 from cpdkit.cli import (
     build_parser,
     format_split,
@@ -18,8 +18,9 @@ from cpdkit.ktensor import (KTNS_MAGIC, KTensor, fit, read_ktns, reconstruct,
                             write_ktns)
 from cpdkit.linalg import khatri_rao
 from cpdkit.mrcpd import INNER_MAX_ITERS, MrcpdOptions, mrcpd_decompose
-from cpdkit.synth import gen_bottleneck_ktensor, gen_random_ktensor
-from cpdkit.tensor import ModeSplit, _write_container, write_tnsr
+from cpdkit.synth import (add_noise, gen_bottleneck_ktensor,
+                          gen_random_ktensor)
+from cpdkit.tensor import ModeSplit, _write_container, read_tnsr, write_tnsr
 
 
 def test_parse_split():
@@ -155,7 +156,9 @@ def test_decompose_mrcpd_defaults_match_library(tmp_path, capsys):
     line = capsys.readouterr().out
     assert int(line.split("iterations=")[1].split()[0]) > 100
     assert "converged=True" in line
-    want, _, _ = mrcpd_decompose(T, 5, MrcpdOptions(
+    # the array the CLI decomposes: read_tnsr gives it in F order, and the
+    # pass sums its Grams in memory order (see the layout test)
+    want, _, _ = mrcpd_decompose(read_tnsr(inp), 5, MrcpdOptions(
         solver_opts=SolverOptions(max_iters=INNER_MAX_ITERS, seed=3)))
     got = read_ktns(outp)
     assert np.array_equal(got.weights, want.weights)
@@ -326,6 +329,32 @@ def test_analyze_bottleneck_ktensor_splits_the_sine_modes(tmp_path, capsys):
     assert sorted(map(len, groups)) == [1, 2, 2]
     assert not any({"3", "4"} <= g for g in groups)
     assert "group_bounds=[5, 5, 5]" in line
+
+
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+def test_analyze_recommends_the_split_decompose_runs(tmp_path, capsys,
+                                                     monkeypatch, snr_db):
+    # analyze and decompose plan from one pass over the modes, so the split
+    # analyze prints is the one mrcpd_decompose merges by (route group
+    # first)
+    T = add_noise(reconstruct(gen_bottleneck_ktensor(20, 5, seed=1)), snr_db,
+                  seed=2)
+    inp = tmp_path / "t.tnsr"
+    write_tnsr(inp, T)
+    assert main(["analyze", "--input", str(inp), "--rank", "5"]) == 0
+    line = next(t for t in capsys.readouterr().out.splitlines()
+                if t.startswith("recommended"))
+    used = []
+    real = mrcpd.reduce_modes
+
+    def spy(X, split):
+        used.append(split)
+        return real(X, split)
+
+    monkeypatch.setattr(mrcpd, "reduce_modes", spy)
+    mrcpd_decompose(read_tnsr(inp), 5, MrcpdOptions(
+        solver_opts=SolverOptions(max_iters=5, seed=0)))
+    assert used and line.split('"')[1] == format_split(used[0])
 
 
 def test_analyze_wide_ktensor_uses_rank_cutoff(tmp_path, capsys):

@@ -12,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from cpdkit import als, mrcpd
+from cpdkit import als, mrcpd, uniqueness
 from cpdkit.als import SolverOptions, cp_als
-from cpdkit.ktensor import KTensor, fit, normalize, reconstruct
+from cpdkit.ktensor import (KTensor, fit, match_factors, normalize,
+                            reconstruct)
 from cpdkit.linalg import (_column_signs, khatri_rao, left_singular_pairs,
                            pinv_cutoff)
 from cpdkit.mrcpd import (
@@ -26,8 +27,9 @@ from cpdkit.mrcpd import (
     recover_merged_factor,
     verify_error_bound,
 )
-from cpdkit.synth import gen_random_ktensor
+from cpdkit.synth import gen_bottleneck_ktensor, gen_random_ktensor
 from cpdkit.tensor import ModeSplit, matricize, reduce_modes
+from cpdkit.uniqueness import mode_rank
 
 
 def solver_opts(seed, max_iters=400, tol=1e-12):
@@ -283,6 +285,129 @@ def test_compress_mode_svd_matches_full_svd(shape, rank, extra, seed, rel):
 
 # --------------------------------------------------- merged-factor recovery
 
+def as_layout(T, layout):
+    """``T`` C-ordered, F-ordered, or as a strided view of a larger array."""
+    if layout == "strided":
+        big = np.zeros((2 * T.shape[0],) + T.shape[1:])
+        big[::2] = T
+        return big[::2]
+    return np.asarray(T, order=layout)
+
+
+def mode_product(X, U, n):
+    """``X`` times ``U`` along mode ``n``."""
+    return np.moveaxis(np.tensordot(U, X, axes=(1, n)), 0, n)
+
+
+def expand_core(core, bases):
+    for n, U in bases.items():
+        core = mode_product(core, U, n)
+    return core
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_truncate_modes_on_exact_low_multilinear_rank(data):
+    # a Tucker tensor whose multilinear ranks are at most J, some modes
+    # larger than J: the pass finds every J-capped mode rank, keeps
+    # orthonormal bases, and loses nothing
+    N = data.draw(st.sampled_from([4, 5]))
+    J = data.draw(st.integers(1, 4))
+    ranks = data.draw(st.tuples(*[st.integers(1, J)] * N))
+    shape = tuple(data.draw(st.integers(r, J + 4)) for r in ranks)
+    assume(max(shape) > J)
+    seed = data.draw(st.integers(0, 2 ** 30))
+    layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal(ranks)
+    for n, size in enumerate(shape):
+        T = mode_product(T, rng.standard_normal((size, ranks[n])), n)
+    T = as_layout(T, layout)
+    core, bases, estimates = mrcpd._truncate_modes(T, J, range(N))
+    assert estimates == {n: min(mode_rank(T, n), J) for n in range(N)}
+    assert sorted(bases) == [n for n in range(N) if shape[n] > J]
+    for n, U in bases.items():
+        assert U.shape == (shape[n], estimates[n]) == (shape[n], core.shape[n])
+        assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+    back = expand_core(core, bases)
+    assert np.linalg.norm(back - T) <= 1e-10 * np.linalg.norm(T)
+
+
+def test_truncate_modes_takes_a_tall_modes_left_basis():
+    # mode 0 has 40 rows and 24 columns, so it is factored from its right
+    # side; its basis must still span its columns
+    truth = gen_random_ktensor((40, 2, 3, 2, 2), 3, seed=104)
+    T = reconstruct(truth)
+    assert 40 ** 2 > T.size
+    core, bases, estimates = mrcpd._truncate_modes(T, 3, range(5))
+    assert core.shape == (3, 2, 3, 2, 2) and sorted(bases) == [0]
+    U = bases[0]
+    assert np.allclose(U.T @ U, np.eye(3), atol=1e-12)
+    M = matricize(T, 0)
+    assert np.linalg.norm(M - U @ (U.T @ M)) <= 1e-12 * np.linalg.norm(M)
+    assert np.linalg.norm(expand_core(core, bases) - T) \
+        <= 1e-12 * np.linalg.norm(T)
+    est, _, bound = mrcpd_decompose(T, 3, MrcpdOptions(
+        solver_opts=solver_opts(4), restarts=4))
+    assert fit(T, reconstruct(est)) >= 1 - 1e-6
+    assert bound.holds
+
+
+def test_given_split_passes_only_modes_above_j(monkeypatch):
+    # with a split given no estimates are needed: modes at most J are not
+    # factored
+    seen = []
+    real = mrcpd._mode_pairs
+
+    def spy(X, k, r=None):
+        seen.append(X.shape[k])
+        return real(X, k, r)
+
+    monkeypatch.setattr(mrcpd, "_mode_pairs", spy)
+    T = reconstruct(gen_random_ktensor((5, 3, 6, 2), 3, seed=105))
+    _, _, bound = mrcpd_decompose(T, 3, MrcpdOptions(
+        split=ModeSplit((0, 1, 2, 3), (0, 1, 2, 4)),
+        solver_opts=solver_opts(0)))
+    assert seen == [5, 6] and bound.holds
+    seen.clear()
+    mrcpd_decompose(T, 3, MrcpdOptions(solver_opts=solver_opts(0)))
+    assert seen == [5, 3, 6, 2]
+
+
+def test_route_group_is_merged_first():
+    split = ModeSplit((0, 1, 2, 3, 4), (0, 1, 3, 5))      # 1|2,3|4,5
+    got = mrcpd._route_first(split, (20, 20, 20, 20, 20))
+    # 20 x 400 x 400: the first of the two tied largest groups moves first
+    assert got == ModeSplit((1, 2, 0, 3, 4), (0, 2, 3, 5))
+    assert mrcpd._route_first(got, (20,) * 5) == got
+
+
+def test_pipeline_agrees_across_layouts():
+    # C- and F-ordered input differ only in the order the pass sums its
+    # first Gram, so the estimates agree to rounding, not bit for bit; a
+    # strided view is copied to C order once and so matches C exactly
+    for seed in range(2):
+        T = reconstruct(gen_bottleneck_ktensor(10, 5, seed=seed))
+        opts = MrcpdOptions(solver_opts=SolverOptions(
+            max_iters=mrcpd.INNER_MAX_ITERS, seed=3))
+        runs = {layout: mrcpd_decompose(as_layout(T, layout), 5, opts)
+                for layout in ("C", "F", "strided")}
+        est_c, rep_c, bound_c = runs["C"]
+        est_s, rep_s, _ = runs["strided"]
+        assert rep_s.fit_trace == rep_c.fit_trace
+        for A, B in zip(est_s.factors + [est_s.weights],
+                        est_c.factors + [est_c.weights]):
+            assert np.array_equal(A, B)
+        est_f, rep_f, bound_f = runs["F"]
+        assert abs(rep_f.iterations - rep_c.iterations) <= 10
+        assert mrcpd._min_congruence(est_c, est_f) >= 1 - 1e-9
+        perm = list(match_factors(est_c.factors[0], est_f.factors[0]).perm)
+        assert np.allclose(est_f.weights[perm], est_c.weights, rtol=1e-6)
+        assert bound_c.holds and bound_f.holds
+        norm = np.linalg.norm(T)
+        assert abs(bound_c.final_err - bound_f.final_err) <= 1e-6 * norm
+
+
 def test_recover_merged_factor():
     truth = gen_random_ktensor((5, 4, 3, 6), 2, seed=77)
     T = reconstruct(truth)
@@ -405,7 +530,8 @@ def test_pipeline_residuals_share_one_rule(monkeypatch):
     split = ModeSplit((0, 1, 2, 3), (0, 1, 2, 4))
     _, _, bound = mrcpd_decompose(T, 2, MrcpdOptions(
         split=split, solver_opts=solver_opts(0)))
-    assert seen == [(4, 3, 10), (4, 3, 5, 2)]
+    # the route group (2, 3) is merged mode 0
+    assert seen == [(10, 4, 3), (4, 3, 5, 2)]
     assert bound.holds
 
 
@@ -496,6 +622,8 @@ def test_svd_compression_ignores_basis_signs(monkeypatch):
         return U, s
 
     monkeypatch.setattr(mrcpd, "left_singular_pairs", flipped)
+    # the pass over the original modes factors through uniqueness
+    monkeypatch.setattr(uniqueness, "left_singular_pairs", flipped)
     est_b, rep_b, bound_b = mrcpd_decompose(T, 3, opts)
     assert rep_a.iterations == rep_b.iterations
     assert rep_a.fit_trace == rep_b.fit_trace
@@ -510,7 +638,15 @@ def test_svd_compression_ignores_basis_signs(monkeypatch):
     ((4, 5, 6, 2), ModeSplit((0, 1, 2, 3), (0, 2, 3, 4)), 2),
     # merged 30 x 20 x 4: all three, and mode 1's compressed unfolding is
     # tall (20 x 12)
-    ((5, 6, 4, 5, 4), ModeSplit((0, 1, 2, 3, 4), (0, 2, 4, 5)), 3)])
+    ((5, 6, 4, 5, 4), ModeSplit((0, 1, 2, 3, 4), (0, 2, 4, 5)), 3),
+    # merged 9 x 4 x 24: the pass shrinks modes 0 and 3 to 3, so the route
+    # group (3, 4) is 9 on the core and is whitened to 3, and group (1, 2),
+    # whose members are all at most J, is projected from 4 to 3 on the core
+    ((9, 2, 2, 8, 3), ModeSplit((0, 1, 2, 3, 4), (0, 1, 3, 5)), 3),
+    # merged 7 x 6 x 6: the route group is mode 0 alone, the one original
+    # mode above J, so its core mode has 3 rows and is whitened there; the
+    # two other groups have no member above J and are projected on the core
+    ((7, 3, 2, 2, 3), ModeSplit((0, 1, 2, 3, 4), (0, 1, 3, 5)), 3)])
 def test_restarts_solve_a_core_of_at_most_j_per_mode(shape, split, above):
     J = 3
     T = reconstruct(gen_random_ktensor(shape, J, seed=103))
