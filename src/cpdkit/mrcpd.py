@@ -14,8 +14,13 @@ The pipeline is one path:
    and project every other merged mode still above J onto at most J
    orthonormal directions.
 4. Run the solver registered as ``"als"`` on that core of at most J per
-   mode, keeping the best of several restarts and stopping once two of
-   them agree.
+   mode.  When two core modes equal J and the third has at least 2
+   entries, the one solve starts from a generalized eigenvalue
+   decomposition of the core (:func:`_gevd_start`); random restarts, which
+   keep the best fit and stop once two of them agree, run only if that
+   solve did not converge or the tail below shows a missed basin, and the
+   estimate with the lower final residual is kept.  Any other core takes
+   the random restarts alone.
 5. Expand the two other merged factors by their bases (the Kronecker
    product of their members' pass bases), re-estimate the route factor
    against the uncompressed merged tensor with one ALS mode update (the
@@ -61,14 +66,17 @@ INNER_MAX_ITERS = 2500
 # that end in one bad basin also agree on fit.
 AGREE_FIT_TOL = 1e-6
 AGREE_CONGRUENCE = 0.99
+# The random restarts run after the algebraic start when final_err exceeds
+# fit3 by more than this share of it: the projection shows a missed basin.
+MISS_REL = 0.01
 
 
 @dataclass(frozen=True)
 class Compression:
     """Compression before the third-order solve: one kind, ``"svd"`` (the
     pass :func:`_truncate_modes`, then :func:`_whiten_mode` and
-    :func:`_project_mode` on the merged core), always on.  The type exists only because the harness in ``perfbench/``
-    builds ``Compression("svd")``.
+    :func:`_project_mode` on the merged core), always on.  The type exists
+    only because the harness in ``perfbench/`` builds ``Compression("svd")``.
     """
 
     kind: str
@@ -95,11 +103,17 @@ class MrcpdOptions:
     ``compression`` is always ``Compression("svd")`` (kept for
     ``perfbench/``): every original mode above J is projected by the pass,
     the merged core's route mode is whitened and every other merged mode
-    above J is projected, so the inner solves see at most J per mode.  ``restarts`` is the most times the inner solver runs,
-    keeping the best fit until two restarts agree
-    (:func:`_solve_with_restarts`).  With ``restarts=1`` the one solve runs
-    from ``solver_opts.seed`` itself; with more, each restart runs from a
-    child of it (an int, ``None``, a ``SeedSequence``, left unchanged, or a
+    above J is projected, so the inner solves see at most J per mode.
+
+    ``restarts`` caps the random restarts, which keep the best fit until
+    two of them agree (:func:`_solve_with_restarts`).  A core with two
+    modes at J is first solved once from its algebraic start
+    (:func:`_gevd_start`, weights drawn from ``solver_opts.seed``), and the
+    restarts run after it only on a miss and only if ``restarts > 1``; so
+    ``restarts=1`` means that one solve alone.  Any other core takes the
+    restarts alone.  With ``restarts=1`` the one random solve runs from
+    ``solver_opts.seed`` itself; with more, each restart runs from a child
+    of it (an int, ``None``, a ``SeedSequence``, left unchanged, or a
     ``Generator``).
     """
 
@@ -475,6 +489,94 @@ def _solve_with_restarts(solver, Y3, J, opts: MrcpdOptions):
     return best
 
 
+def _gevd_start(Y3, J: int, seed):
+    """An algebraic start for the rank-J solve of a third-order core: a
+    generalized eigenvalue decomposition (GEVD) of two of its slices
+    (Leurgans, Ross and Abel, SIAM J. Matrix Anal. Appl. 14(4), 1993;
+    Domanov and De Lathauwer, SIAM J. Matrix Anal. Appl. 35(2), 2014).
+
+    Needs two modes ``a < b`` of exactly J entries (the first two) and a
+    third mode ``c`` of at least 2; returns ``None`` for any other core.
+    The slices ``S1`` and ``S2`` are combinations along ``c`` with Gaussian
+    weights drawn from ``seed``.  On an exact model ``S_i = A diag(C^T w_i)
+    B^T``, so ``A`` holds the eigenvectors of ``S1 pinv(S2)``.  The weights
+    must be generic: the leading singular vectors of an orthonormal factor
+    pick one component per slice and leave ``S2`` of rank 1.  Mode ``c``
+    has at most J entries, so Gaussian weights need no basis of it first.
+    A complex pair of eigenvalues, which noise brings, gives its
+    eigenvector's real part and imaginary part as two columns.  Then ``B = (pinv(A) S2)^T``, and
+    ``C`` is the least-squares fit to ``A`` and ``B`` (one ALS mode update).
+    """
+    at_j = [p for p in range(3) if Y3.shape[p] == J]
+    if len(at_j) < 2 or Y3.shape[3 - at_j[0] - at_j[1]] < 2:
+        return None
+    a, b = at_j[:2]
+    c = 3 - a - b
+    w = np.random.default_rng(seed).standard_normal((Y3.shape[c], 2))
+    S1, S2 = np.moveaxis(np.tensordot(Y3, w, axes=(c, 0)), 2, 0)
+    vals, V = np.linalg.eig(S1 @ np.linalg.pinv(S2))
+    A = V.real.copy()
+    # LAPACK lists each pair's eigenvalue of positive imaginary part first.
+    pairs = np.flatnonzero(vals.imag > 0)
+    A[:, pairs + 1] = V.imag[:, pairs]
+    factors = [None] * 3
+    factors[a], factors[b] = A, (np.linalg.pinv(A) @ S2).T
+    W = _Route(Y3).mttkrp(factors, c)
+    factors[c] = _solve_gram(W, hadamard([factors[a].T @ factors[a],
+                                          factors[b].T @ factors[b]]))
+    return KTensor(factors)
+
+
+def _finish(T, Y3, kt3, split: ModeSplit, compression, nonneg: bool):
+    """The tail of one inner solve, from the core's factors ``kt3`` to a
+    checked order-N estimate; returns ``(est, BoundReport)``.
+
+    ``compression`` is ``None`` when the solve ran on the merged tensor
+    ``Y3`` itself, else ``(bases, merged_bases, core_shape)``: the two
+    other merged factors are then expanded by their bases and the route
+    factor is re-estimated from ``Y3`` (:func:`recover_merged_factor`).
+    ``fit3`` is measured on ``Y3``, every merged factor is split by
+    :func:`kr_project`, and the bound is checked
+    (:func:`verify_error_bound`); a violation is raised.
+    """
+    groups = split.group_modes()
+    kt3 = normalize(kt3, all_modes=True)
+    if compression is not None:
+        bases, merged_bases, core_shape = compression
+        factors3 = [None] + [
+            _expand(merged_bases[p] @ kt3.factors[p] if p in merged_bases
+                    else kt3.factors[p], groups[p], bases, core_shape)
+            for p in (1, 2)]
+        factors3[0] = recover_merged_factor(Y3, 0, factors3[1:])
+        kt3 = normalize(KTensor(factors3), all_modes=True)
+    fit3 = _residual_norm(Y3, kt3)
+
+    # Split each merged factor; eps_k sums the weighted projection residuals.
+    lam = kt3.weights
+    merged = kt3.factors
+    if nonneg:
+        merged = _orient_for_nonneg(merged, groups)
+    eps_k = 0.0
+    factors_by_mode = {}
+    for G, modes in zip(merged, groups):
+        if len(modes) == 1:
+            factors_by_mode[modes[0]] = G
+            continue
+        factors, _ = kr_project(G, [T.shape[n] for n in modes], nonneg=nonneg)
+        eps_k += float(np.linalg.norm((G - khatri_rao(factors))
+                                      * lam[None, :]))
+        factors_by_mode.update(zip(modes, factors))
+    est = normalize(KTensor([factors_by_mode[n] for n in range(T.ndim)], lam))
+
+    report = verify_error_bound(T, est, fit3, eps_k)
+    if not report.holds:
+        raise RuntimeError(
+            f"error bound violated: final residual {report.final_err:.6e} > "
+            f"{report.bound:.6e} (fit3={fit3:.6e}, eps_k={eps_k:.6e}); this "
+            "is a bug in the pipeline, please report it")
+    return est, report
+
+
 def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     """Decompose an order >= 4 tensor via merge, solve, project.
 
@@ -483,20 +585,25 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     On the merged core the route mode (the largest merged mode, merged
     first) is whitened at its numerical rank and every other merged mode
     above J projected to at most J orthonormal directions
-    (:func:`_project_mode`); the restarts run on that core, the two other
-    factors are expanded by their bases, and the route factor is
+    (:func:`_project_mode`); the inner solve runs on that core, the two
+    other factors are expanded by their bases, and the route factor is
     re-estimated from the uncompressed merged tensor
     (:func:`recover_merged_factor`) before ``fit3`` is measured.  When no
     mode, original or merged, is above J, the solve runs on the merged
-    tensor itself.
+    tensor itself.  A core with two modes at J is solved once from a GEVD
+    start (:func:`_gevd_start`); if that solve did not converge, or if
+    ``final_err - fit3 > MISS_REL * final_err`` plus the bound's round-off
+    slack, and ``restarts > 1``, the random restarts run too and the
+    estimate with the lower ``final_err`` is kept.  Every tail that runs
+    checks the bound (:func:`_finish`).
 
     Returns ``(KTensor, SolveReport, BoundReport)``: the order-N estimate in
-    original mode order (normalized), the inner solve's report (its fits
-    are on the core) with ``runtime_s`` replaced by the total pipeline
-    wall-clock, and the bound check.  A J above the feasible rank of the
-    merged tensor (the product of the two smaller merged sizes, when the
-    largest is above J) raises ``ValueError`` before the merge.  Raises if
-    the certified bound fails, which indicates a bug.
+    original mode order (normalized), the kept inner solve's own report
+    (its fits are on the core) with ``runtime_s`` replaced by the total
+    pipeline wall-clock, and that estimate's bound check.  A J above the
+    feasible rank of the merged tensor (the product of the two smaller
+    merged sizes, when the largest is above J) raises ``ValueError`` before
+    the merge.  Raises if the certified bound fails, which indicates a bug.
     """
     T, J, opts = _checked_problem(T, J, opts, MrcpdOptions, 4)
     if opts.solver_opts.init is not None:
@@ -531,7 +638,7 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
             T, J, [n for n in range(T.ndim) if T.shape[n] > J])
     Y3 = reduce_modes(T, split)
 
-    # The restarts run on a core of at most J per mode (Bro and Andersson's
+    # The inner solves run on a core of at most J per mode (Bro and Andersson's
     # compression before the solve): the pass has shrunk every original
     # mode above J; the merged core's route mode (merged mode 0) is
     # whitened at its numerical rank and every other merged mode still
@@ -545,44 +652,22 @@ def mrcpd_decompose(T, J: int, opts: MrcpdOptions | None = None):
     for p in (1, 2):
         if Y3s.shape[p] > J:
             merged_bases[p], Y3s = _project_mode(Y3s, p, J)
-    kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
-    kt3 = normalize(kt3, all_modes=True)
-    if compressed:
-        groups = split.group_modes()
-        factors3 = [None] + [
-            _expand(merged_bases[p] @ kt3.factors[p] if p in merged_bases
-                    else kt3.factors[p], groups[p], bases, core_shape)
-            for p in (1, 2)]
-        factors3[0] = recover_merged_factor(Y3, 0, factors3[1:])
-        kt3 = normalize(KTensor(factors3), all_modes=True)
-    fit3 = _residual_norm(Y3, kt3)
-    # Y3 is a full copy of T: free it before the bound check allocates its
-    # one tensor-sized array.
-    del Y3, Y3s
-
-    # Split each merged factor; eps_k sums the weighted projection residuals.
-    lam = kt3.weights
-    merged = kt3.factors
-    if opts.nonneg:
-        merged = _orient_for_nonneg(merged, split.group_modes())
-    eps_k = 0.0
-    factors_by_mode = {}
-    for G, modes in zip(merged, split.group_modes()):
-        if len(modes) == 1:
-            factors_by_mode[modes[0]] = G
-            continue
-        factors, _ = kr_project(G, [T.shape[n] for n in modes],
-                                nonneg=opts.nonneg)
-        eps_k += float(np.linalg.norm((G - khatri_rao(factors))
-                                      * lam[None, :]))
-        factors_by_mode.update(zip(modes, factors))
-    est = normalize(KTensor([factors_by_mode[n] for n in range(T.ndim)], lam))
-
-    report = verify_error_bound(T, est, fit3, eps_k)
-    if not report.holds:
-        raise RuntimeError(
-            f"error bound violated: final residual {report.final_err:.6e} > "
-            f"{report.bound:.6e} (fit3={fit3:.6e}, eps_k={eps_k:.6e}); this "
-            "is a bug in the pipeline, please report it")
+    compression = (bases, merged_bases, core_shape) if compressed else None
+    start3 = _gevd_start(Y3s, J, opts.solver_opts.seed)
+    if start3 is None:
+        kt3, rep = _solve_with_restarts(solver, Y3s, J, opts)
+    else:
+        kt3, rep = solver(Y3s, J, replace(opts.solver_opts, init=start3))
+    est, report = _finish(T, Y3, kt3, split, compression, opts.nonneg)
+    # After the algebraic start, a miss shows in the projection: final_err
+    # far above fit3.
+    if start3 is not None and opts.restarts > 1 and (
+            not rep.converged or report.final_err - report.fit3
+            > MISS_REL * report.final_err
+            + BOUND_SLACK_REL * float(np.linalg.norm(T))):
+        kt3, rep_r = _solve_with_restarts(solver, Y3s, J, opts)
+        est_r, report_r = _finish(T, Y3, kt3, split, compression, opts.nonneg)
+        if report_r.final_err < report.final_err:
+            est, rep, report = est_r, rep_r, report_r
     rep = replace(rep, runtime_s=perf_counter() - start)
     return est, rep, report

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpdkit import bench, cli, mrcpd
+from cpdkit import als, bench, cli, mrcpd
 from cpdkit.cli import (
     build_parser,
     format_split,
@@ -143,9 +143,18 @@ def test_nonneg_decompose_keeps_unconstrained_fit(tmp_path, capsys):
     assert abs(fits[1] - fits[0]) <= 1e-6
 
 
-def test_decompose_mrcpd_defaults_match_library(tmp_path, capsys):
+def test_decompose_mrcpd_defaults_match_library(tmp_path, capsys,
+                                               monkeypatch):
     # the CLI's mrcpd defaults are the library's: compression on and the
-    # inner sweep budget INNER_MAX_ITERS, which this problem needs past 100
+    # inner sweep budget INNER_MAX_ITERS, which every inner solve receives
+    budgets = []
+    solve = als.get_solver("als")
+
+    def recording(T3, J, opts):
+        budgets.append(opts.max_iters)
+        return solve(T3, J, opts)
+
+    monkeypatch.setitem(als._SOLVERS, "als", recording)
     T = reconstruct(gen_bottleneck_ktensor(10, 5, seed=2))
     inp = tmp_path / "t.tnsr"
     outp = tmp_path / "est.ktns"
@@ -154,7 +163,7 @@ def test_decompose_mrcpd_defaults_match_library(tmp_path, capsys):
                  "--method", "mrcpd", "--seed", "3",
                  "--output", str(outp)]) == 0
     line = capsys.readouterr().out
-    assert int(line.split("iterations=")[1].split()[0]) > 100
+    assert budgets and set(budgets) == {INNER_MAX_ITERS}
     assert "converged=True" in line
     # the array the CLI decomposes: read_tnsr gives it in F order, and the
     # pass sums its Grams in memory order (see the layout test)

@@ -2,6 +2,7 @@
 recovery, the certified error bound, and the end-to-end decomposition."""
 
 import copy
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -349,7 +350,7 @@ def test_truncate_modes_takes_a_tall_modes_left_basis():
         <= 1e-12 * np.linalg.norm(T)
     est, _, bound = mrcpd_decompose(T, 3, MrcpdOptions(
         solver_opts=solver_opts(4), restarts=4))
-    assert fit(T, reconstruct(est)) >= 1 - 1e-6
+    assert fit(T, reconstruct(est)) >= 1 - 1e-12
     assert bound.holds
 
 
@@ -704,8 +705,13 @@ def test_decompose_restarts_take_any_seed(monkeypatch):
     seeds = []
 
     def recording(T3, J, opts):
-        seeds.append(copy.deepcopy(opts.seed))
-        return cp_als(T3, J, opts)
+        # the solve from the algebraic start reports no convergence, which
+        # forces the random restarts
+        if opts.init is None:
+            seeds.append(copy.deepcopy(opts.seed))
+            return cp_als(T3, J, opts)
+        kt, rep = cp_als(T3, J, opts)
+        return kt, dataclasses.replace(rep, converged=False)
 
     monkeypatch.setitem(als._SOLVERS, "als", recording)
     # int and SeedSequence seeds restart from their SeedSequence's children
@@ -721,9 +727,10 @@ def test_decompose_restarts_take_any_seed(monkeypatch):
     # a Generator seed spawns its own children, reproducibly
     runs = []
     for _ in range(2):
+        seeds.clear()
         _, rep, bound = mrcpd_decompose(T, 3, MrcpdOptions(
             solver_opts=solver_opts(np.random.default_rng(0)), restarts=2))
-        assert bound.holds
+        assert bound.holds and len(seeds) == 2
         runs.append(rep.final_fit)
     assert runs[0] == runs[1]
 
@@ -742,6 +749,184 @@ def test_decompose_repeats_with_one_seed_sequence():
     for A, B in zip(est_a.factors, est_b.factors):
         assert np.array_equal(A, B)
     assert ss.n_children_spawned == 0
+
+
+# ------------------------------------------------------- algebraic start
+
+def recording_solver(monkeypatch, solve=cp_als):
+    """Register ``solve`` as the ``"als"`` solver, recording each call's
+    ``(core shape, started from init, returned report)``."""
+    calls = []
+
+    def recording(T3, J, opts):
+        kt, rep = solve(T3, J, opts)
+        calls.append((T3.shape, opts.init is not None, rep))
+        return kt, rep
+    monkeypatch.setitem(als._SOLVERS, "als", recording)
+    return calls
+
+
+def test_gevd_start_solves_an_exact_core_in_a_few_sweeps(monkeypatch):
+    truth = gen_random_ktensor((5, 5, 3), 5, seed=120)
+    T3 = reconstruct(truth)
+    start = mrcpd._gevd_start(T3, 5, 0)
+    assert fit(T3, reconstruct(start)) >= 1 - 1e-10
+    kt, rep = cp_als(T3, 5, SolverOptions(max_iters=400, tol=1e-12,
+                                          init=start))
+    assert rep.converged and rep.iterations <= 3
+    assert fit(T3, reconstruct(kt)) >= 1 - 1e-12
+    # through the pipeline: one solve, a few sweeps, an exact fit
+    T = reconstruct(gen_random_ktensor((6, 5, 4, 3), 4, seed=121))
+    calls = recording_solver(monkeypatch)
+    est, rep, bound = mrcpd_decompose(T, 4, MrcpdOptions(
+        solver_opts=solver_opts(7), restarts=4))
+    assert [c[1] for c in calls] == [True] and calls[0][2].iterations <= 5
+    assert fit(T, reconstruct(est)) >= 1 - 1e-12 and bound.holds
+
+
+def test_gevd_start_recovers_orthonormal_factors():
+    # orthonormal factors in every mode (criterion 1's problems): weights
+    # equal to a mode's own singular vectors would pick out one component
+    # per slice and leave S2 of rank 1; generic weights do not
+    rng = np.random.default_rng(122)
+    J, shape = 4, (7, 4, 4, 8)
+    truth = KTensor([np.linalg.qr(rng.standard_normal((s, J)))[0]
+                     for s in shape], rng.uniform(0.5, 2.0, J))
+    T = reconstruct(truth)
+    for seed in range(4):
+        est, rep, bound = mrcpd_decompose(T, J, MrcpdOptions(
+            solver_opts=solver_opts(seed)))
+        assert fit(T, reconstruct(est)) >= 1 - 1e-12 and bound.holds
+        assert rep.iterations <= 10
+        assert mrcpd._min_congruence(truth, est) >= 1 - 1e-9
+
+
+def test_gevd_start_takes_both_parts_of_a_complex_pair():
+    # noise makes two eigenvalues of S1 pinv(S2) a complex pair: their
+    # eigenvector gives two columns, its real part and its imaginary part
+    J, K = 4, 3
+    T3 = reconstruct(gen_random_ktensor((J, J, K), J, seed=0)) \
+        + 0.3 * np.random.default_rng(0).standard_normal((J, J, K))
+    w = np.random.default_rng(0).standard_normal((K, 2))
+    S1, S2 = np.moveaxis(np.tensordot(T3, w, axes=(2, 0)), 2, 0)
+    vals, V = np.linalg.eig(S1 @ np.linalg.pinv(S2))
+    pair = np.flatnonzero(vals.imag > 0)
+    assert len(pair) == 1 and vals[pair[0] + 1] == np.conj(vals[pair[0]])
+    A = mrcpd._gevd_start(T3, J, 0).factors[0]
+    j = pair[0]
+    assert np.array_equal(A[:, j], V[:, j].real)
+    assert np.array_equal(A[:, j + 1], V[:, j].imag)
+    # the real parts alone would repeat a column
+    assert np.linalg.matrix_rank(A) == J
+    assert np.linalg.matrix_rank(V.real) == J - 1
+    kt, rep = cp_als(T3, J, SolverOptions(max_iters=2500, tol=1e-10,
+                                          init=mrcpd._gevd_start(T3, J, 0)))
+    assert rep.converged and np.all(np.isfinite(kt.weights))
+
+
+def test_core_without_two_modes_at_j_keeps_random_restarts(monkeypatch):
+    # (3, 3, 3, 3) at J = 4 solves a 4x3x3 core: one mode at J, so every
+    # solve starts at random from the restart seeds, as without the start
+    T = reconstruct(gen_random_ktensor((3, 3, 3, 3), 4, seed=123))
+    opts = MrcpdOptions(solver_opts=solver_opts(5, max_iters=200),
+                        restarts=3)
+    calls = recording_solver(monkeypatch)
+    est, rep, bound = mrcpd_decompose(T, 4, opts)
+    assert calls and all(shape == (4, 3, 3) and not init
+                         for shape, init, _ in calls)
+    assert bound.holds
+    # bitwise the estimate of the restarts alone
+    monkeypatch.setattr(mrcpd, "_gevd_start", lambda *args: None)
+    est_r, rep_r, bound_r = mrcpd_decompose(T, 4, opts)
+    assert rep.fit_trace == rep_r.fit_trace
+    assert bound.final_err == bound_r.final_err
+    for A, B in zip(est.factors, est_r.factors):
+        assert np.array_equal(A, B)
+
+
+def shared_column_problem():
+    """An exact rank-3 tensor whose components 0 and 1 share their mode-3
+    column, with the split (0, 1) | 2 | 3.  The merged core then fits any
+    rotation of those two components in the other merged modes, and a
+    rotated (0, 1) column is no Khatri-Rao product: the projection misses.
+    """
+    truth = gen_random_ktensor((6, 5, 4, 3), 3, seed=124)
+    truth.factors[3][:, 1] = truth.factors[3][:, 0]
+    return reconstruct(truth), 3, ModeSplit((0, 1, 2, 3), (0, 2, 3, 4))
+
+
+def exact_problem():
+    """An exact rank-4 tensor and a planned split."""
+    return reconstruct(gen_random_ktensor((6, 5, 4, 3), 4, seed=124)), 4, None
+
+
+def stop_restarts_after_one_sweep(T3, J, opts):
+    """The start's solve reports no convergence, and every random restart
+    stops after one sweep, so the start's estimate is the better one."""
+    if opts.init is None:
+        return cp_als(T3, J, dataclasses.replace(opts, max_iters=1))
+    kt, rep = cp_als(T3, J, opts)
+    return kt, dataclasses.replace(rep, converged=False)
+
+
+@pytest.mark.parametrize("problem, solve", [
+    (shared_column_problem, cp_als),
+    (exact_problem, stop_restarts_after_one_sweep),
+], ids=["miss", "not converged"])
+def test_trigger_runs_restarts_and_keeps_the_lower_residual(monkeypatch,
+                                                            problem, solve):
+    T, J, split = problem()
+    reports = []
+    verify = mrcpd.verify_error_bound
+
+    def checked(*args):
+        reports.append(verify(*args))
+        return reports[-1]
+    monkeypatch.setattr(mrcpd, "verify_error_bound", checked)
+    calls = recording_solver(monkeypatch, solve)
+    est, rep, bound = mrcpd_decompose(T, J, MrcpdOptions(
+        split=split, solver_opts=solver_opts(8), restarts=3))
+    # the start's solve came first, then the restarts; both tails checked
+    # their bound, and the estimate with the lower final_err is returned
+    first = reports[0]
+    assert calls[0][1] and len(calls) >= 2
+    assert all(not init for _, init, _ in calls[1:])
+    assert len(reports) == 2 and all(r.holds for r in reports)
+    assert bound.final_err == min(r.final_err for r in reports)
+    kept = [init for _, init, r in calls if r.fit_trace is rep.fit_trace]
+    assert kept == [bound is first]
+    if solve is cp_als:
+        # a true miss: the core fits, the projection does not
+        assert calls[0][2].converged
+        assert first.final_err - first.fit3 > mrcpd.MISS_REL * first.final_err
+    else:
+        assert bound is first
+    # restarts=1 runs the start's solve alone, whatever it reports
+    reports.clear(), calls.clear()
+    mrcpd_decompose(T, J, MrcpdOptions(split=split,
+                                       solver_opts=solver_opts(8)))
+    assert len(calls) == 1 and len(reports) == 1
+
+
+def test_gevd_start_repeats_with_one_seed_sequence(monkeypatch):
+    T = reconstruct(gen_random_ktensor((6, 5, 4, 3), 4, seed=125)) \
+        + 0.01 * np.random.default_rng(126).standard_normal((6, 5, 4, 3))
+    ss = np.random.SeedSequence(127)
+    opts = MrcpdOptions(solver_opts=solver_opts(ss), restarts=3)
+    calls = recording_solver(monkeypatch)
+    est_a, rep_a, _ = mrcpd_decompose(T, 4, opts)
+    est_b, rep_b, _ = mrcpd_decompose(T, 4, opts)
+    assert calls[0][1] and rep_a.fit_trace == rep_b.fit_trace
+    for A, B in zip(est_a.factors, est_b.factors):
+        assert np.array_equal(A, B)
+    assert ss.n_children_spawned == 0
+    # the weights come from the seed: another seed, another start
+    T3 = reconstruct(gen_random_ktensor((4, 4, 3), 4, seed=128)) \
+        + 0.01 * np.random.default_rng(129).standard_normal((4, 4, 3))
+    starts = [mrcpd._gevd_start(T3, 4, s).factors[0]
+              for s in (ss, ss, np.random.SeedSequence(130))]
+    assert np.array_equal(starts[0], starts[1])
+    assert not np.array_equal(starts[0], starts[2])
 
 
 def scripted_solver(results):

@@ -170,8 +170,9 @@ def test_registry_hooks_seen_from_outside(monkeypatch):
             solver_opts=SolverOptions(max_iters=20, seed=1), restarts=3))
     finally:
         register_solver("als", original)
-    # restarts=3 is a maximum: two restarts that agree end the search
-    assert 2 <= len(reports) <= 3
+    # restarts=3 caps the random fallback: the solve from the algebraic
+    # start fits this exact 2x2x2 core, so no restart runs
+    assert len(reports) == 1
     kept = [r for r in reports if r.fit_trace is rep.fit_trace]
     assert len(kept) == 1
     assert kept[0].final_fit == max(r.final_fit for r in reports)
